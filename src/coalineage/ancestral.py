@@ -4,9 +4,11 @@ The number of ancestral lines of a large population, run back for time t
 with coalescence and killing by mutation, is a pure death process whose
 level-n exit rate is n(n-1+theta)/2.  Starting from infinity it reaches
 a proper law (d_n below); a sample of m individuals sees the binomial
-projection of that law.  Both are alternating series, summed here with
-the compensated machinery from numerics and refused when cancellation
-eats the result.
+projection of that law.  Both are the same alternating line-of-descent
+series with different weights on the index i (Griffiths 1980; Tavare
+1984): C(m,i)/(theta+m)_i for the sample, its m -> infinity limit 1/i!
+for the population.  One kernel sums both, and entries are refused when
+cancellation eats the result.
 """
 
 from __future__ import annotations
@@ -16,17 +18,12 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import NumericalConditioningError
 from .numerics import (
-    CLIP_FLOOR,
-    ENTRY_NOISE_BUDGET,
-    LOG_NOISE_SHIFT,
     SignedLogValue,
-    compensated_signed_sum,
-    log_binomial,
-    log_rising_factorial,
+    log_gamma_table,
+    reliable_value,
     signed_log_sum,
 )
 from .pmf import Pmf
@@ -47,6 +44,8 @@ __all__ = [
 TAIL_MASS = 1e-10
 TAIL_ENTRY = 1e-14
 MAX_ANCESTRAL_N = 5000
+# line-count series terms past _last_index lie below exp(-TAIL_LOG)
+TAIL_LOG = 80.0
 
 
 @dataclass(frozen=True)
@@ -79,51 +78,60 @@ def rho(i: int, params: ModelParams) -> SignedLogValue:
     return SignedLogValue(-1 if i % 2 else 1, log_mag)
 
 
-def _ancestral_entry(n: int, params: ModelParams) -> float:
-    """d_n(t): series over i >= max(n,1), plus a unit boundary term at n=0."""
-    theta = params.theta
+def _last_index(params: ModelParams) -> int:
+    """Series index past which every line-count term is below exp(-TAIL_LOG).
 
-    def terms():
-        if n == 0:
-            # the i=0 term of the expansion is identically 1
-            yield SignedLogValue(1, 0.0)
-        i = max(n, 1)
-        while True:
-            r = rho(i, params)
-            log_mag = (
-                r.log_magnitude
-                + float(gammaln(i + 1) - gammaln(n + 1) - gammaln(i - n + 1))
-                + float(gammaln(n + theta + i - 1) - gammaln(n + theta))
-                - float(gammaln(i + 1))
-            )
-            sign = r.sign * (1 if n % 2 == 0 else -1)
-            yield SignedLogValue(sign, log_mag)
-            i += 1
-
-    res = compensated_signed_sum(terms())
-    if not res.converged:
-        raise NumericalConditioningError(
-            f"ancestral series for n={n} did not converge within the term budget"
-        )
-    # peak term magnitude is |value| / ratio; its scaled ulps are the noise
-    noise = 0.0
-    if res.cancellation_ratio > 0.0:
-        noise = abs(res.value) / res.cancellation_ratio * math.exp(-LOG_NOISE_SHIFT)
-    if noise > ENTRY_NOISE_BUDGET:
-        raise NumericalConditioningError(
-            f"ancestral series for n={n} lost all significant digits "
-            f"(cancellation ratio {res.cancellation_ratio:.2e})",
-            cancellation_ratio=res.cancellation_ratio,
-        )
-    if res.value < -max(CLIP_FLOOR, noise):
-        _raise_negative(n, res.value)
-    return max(res.value, 0.0)
+    With 2i-1+theta <= (1+theta) 2^i, C(i,x) <= 2^i, x <= i and
+    (x+theta)_(i-1)/i! <= 2^(x+i+theta), a term of either law is at most
+    (1+theta) 2^(4i+theta) exp(-t i(i-1+theta)/2): the sample weight
+    C(m,i)/(theta+m)_i never exceeds the population's 1/i!.  Past the
+    larger root of that bound's log = -TAIL_LOG the bound falls
+    geometrically, so the omitted tail is of order exp(-TAIL_LOG).
+    """
+    theta, t = params.theta, params.t
+    b = 4.0 * math.log(2.0) - t * (theta - 1.0) / 2.0
+    c = TAIL_LOG + math.log1p(theta) + theta * math.log(2.0)
+    return math.ceil((b + math.sqrt(b * b + 2.0 * t * c)) / t)
 
 
-def _raise_negative(n: int, value: float):
-    raise NumericalConditioningError(
-        f"ancestral entry d_{n} is negative beyond the clipping floor ({value:.3e})"
+def _line_count_entries(log_w: np.ndarray, rows: range, params: ModelParams) -> list:
+    """signed_log_sum results of the line-count series, one per x in rows.
+
+    Entry x is 1{x=0} plus the sum over i = max(x,1)..I of
+    (-1)^(i+x) (2i-1+theta) e^(-t i(i-1+theta)/2) C(i,x) (x+theta)_(i-1) w_i,
+    where log_w[i] = log w_i for i = 0..I.  Rows past I hold only terms
+    below the tail bound of _last_index and come back as exact zeros.
+    Rows are summed one at a time, so memory stays O(I).
+    """
+    theta, t = params.theta, params.t
+    top = len(log_w) - 1
+    log_fact = log_gamma_table(1.0, top + 1)
+    log_gamma = log_gamma_table(theta, 2 * top + 1)
+    i = np.arange(1, top + 1, dtype=float)
+    # the row-independent factors, with the i! of C(i,x) folded in
+    base = np.full(top + 1, -math.inf)
+    base[1:] = (
+        np.log(2 * i - 1 + theta) - t * i * (i - 1 + theta) / 2.0 + log_w[1:] + log_fact[1:]
     )
+    alternating = np.where(np.arange(2 * top + 1) % 2 == 0, 1.0, -1.0)
+    entries = []
+    for x in rows:
+        if x > top:
+            entries.append((SignedLogValue(0, -math.inf), 1.0, -math.inf))
+            continue
+        lo = max(x, 1)
+        log_terms = (
+            base[lo:]
+            - log_fact[lo - x : top - x + 1]
+            + log_gamma[x + lo - 1 : x + top]
+            - (log_fact[x] + log_gamma[x])
+        )
+        signs = alternating[lo + x : top + x + 1]
+        if x == 0:
+            log_terms = np.concatenate(([0.0], log_terms))
+            signs = np.concatenate(([1.0], signs))
+        entries.append(signed_log_sum(log_terms, signs))
+    return entries
 
 
 def _default_n_start(theta: float) -> int:
@@ -149,29 +157,35 @@ def _tail_closed(values: list[float]) -> bool:
 
 
 @lru_cache(maxsize=128)
-def _ancestral_values(params: ModelParams, n_max: int | None) -> tuple[np.ndarray, float]:
-    """Vector (d_0..d_N, tail mass).  n_max=None grows N adaptively."""
+def _ancestral_values(params: ModelParams, n_max: int | None) -> np.ndarray:
+    """Vector d_0..d_N.  n_max=None grows N adaptively."""
     if params.t == 0.0:
         raise ValueError("the ancestral line count starts at infinity; t must be > 0")
+    top = _last_index(params)
+    if top > MAX_ANCESTRAL_N:
+        raise NumericalConditioningError(
+            f"the ancestral series needs {top} terms, more than {MAX_ANCESTRAL_N}; "
+            "t is too small for the series representation"
+        )
+    log_w = -log_gamma_table(1.0, top + 1)
+
+    def entries(lo: int, hi: int) -> list[float]:
+        sums = _line_count_entries(log_w, range(lo, hi), params)
+        return [
+            reliable_value(entry, f"ancestral entry d_{n}", "t is too small for the series")
+            for n, entry in enumerate(sums, start=lo)
+        ]
+
     if n_max is None:
-        cap = _default_n_start(params.theta)
-        values = [_ancestral_entry(n, params) for n in range(cap + 1)]
+        values = entries(0, _default_n_start(params.theta) + 1)
+        # rows past top are exact zeros, so this closes by n = top + 1
         while not _tail_closed(values):
-            if len(values) > MAX_ANCESTRAL_N:
-                raise NumericalConditioningError(
-                    f"ancestral support did not close below n={MAX_ANCESTRAL_N}; "
-                    "t may be too small for the series representation"
-                )
-            new_cap = math.ceil(len(values) * 1.5)
-            values.extend(
-                _ancestral_entry(n, params) for n in range(len(values), new_cap)
-            )
+            values.extend(entries(len(values), math.ceil(len(values) * 1.5)))
     else:
         if n_max < 0:
             raise ValueError(f"n_max must be nonnegative, got {n_max}")
-        values = [_ancestral_entry(n, params) for n in range(n_max + 1)]
-    tail = 1.0 - math.fsum(values)
-    return np.array(values), tail
+        values = entries(0, n_max + 1)
+    return np.array(values)
 
 
 def ancestral_pmf(n_max: int | None, params: ModelParams) -> Pmf:
@@ -188,39 +202,20 @@ def ancestral_pmf(n_max: int | None, params: ModelParams) -> Pmf:
         Pmf over n = 0..n_max with the discarded tail recorded as
         mass_defect (not renormalized away).
     """
-    values, tail = _ancestral_values(params, n_max)
     return Pmf.from_floats(
-        values, 0, renormalize=False, context="ancestral line count"
+        _ancestral_values(params, n_max), 0, renormalize=False, context="ancestral line count"
     )
 
 
-def _log_binomial_row(n: int, ks: np.ndarray) -> np.ndarray:
-    return gammaln(n + 1) - gammaln(ks + 1) - gammaln(n - ks + 1)
-
-
-def _lineage_entries(m: int, params: ModelParams):
-    """Signed-sum diagnostics for P[sample ancestral count = x], x=0..m."""
-    theta = params.theta
-    t = params.t
-    entries = []
-    for x in range(m + 1):
-        lo = max(x, 1)
-        i = np.arange(lo, m + 1, dtype=float)
-        log_terms = (
-            np.log(2 * i - 1 + theta)
-            - i * (i - 1 + theta) / 2.0 * t
-            + _log_binomial_row(m, i)
-            + gammaln(i + 1) - gammaln(x + 1) - gammaln(i - x + 1)
-            + gammaln(x + theta + i - 1) - gammaln(x + theta)
-            - (gammaln(theta + m + i) - gammaln(theta + m))
-        )
-        signs = np.where((i.astype(int) + x) % 2 == 0, 1.0, -1.0)
-        if x == 0:
-            # i=0 term of the expansion is identically 1
-            log_terms = np.concatenate(([0.0], log_terms))
-            signs = np.concatenate(([1.0], signs))
-        entries.append(signed_log_sum(log_terms, signs))
-    return entries
+def _lineage_entries(m: int, params: ModelParams) -> list:
+    """Signed-sum results for P[sample ancestral count = x], x = 0..m."""
+    top = min(m, _last_index(params))
+    log_fact = log_gamma_table(1.0, m + 1)
+    log_gamma = log_gamma_table(params.theta, m + top + 1)
+    i = np.arange(top + 1)
+    # C(m,i) / (theta+m)_i
+    log_w = log_fact[m] - log_fact[i] - log_fact[m - i] - (log_gamma[m + i] - log_gamma[m])
+    return _line_count_entries(log_w, range(m + 1), params)
 
 
 def _min_reliable_t(m: int, params: ModelParams) -> float | None:
@@ -305,13 +300,15 @@ def r_pmf(n: int, m: int, theta: float) -> Pmf:
     if not (theta > 0):
         raise ValueError(f"theta must be positive, got {theta}")
     hi = min(n, m)
-    xs = np.arange(0, hi + 1, dtype=float)
+    xs = np.arange(hi + 1)
+    log_fact = log_gamma_table(1.0, max(n, m) + 1)
+    log_gamma = log_gamma_table(theta, n + m + 1)
+    # x! C(n,x) C(m,x) (theta+x)_(m-x) / (theta+n)_m
     log_probs = (
-        gammaln(xs + 1)
-        + _log_binomial_row(n, xs)
-        + _log_binomial_row(m, xs)
-        + gammaln(theta + m) - gammaln(theta + xs)
-        - (gammaln(theta + n + m) - gammaln(theta + n))
+        log_fact[n] - log_fact[n - xs]
+        + log_fact[m] - log_fact[xs] - log_fact[m - xs]
+        + log_gamma[m] - log_gamma[xs]
+        - (log_gamma[n + m] - log_gamma[n])
     )
     return Pmf.from_floats(
         np.exp(log_probs), 0, renormalize=True, context="re-observed type count"
@@ -332,61 +329,72 @@ def r_freq_pmf(l: int, n: int, m: int, theta: float) -> Pmf:
     if not (theta > 0):
         raise ValueError(f"theta must be positive, got {theta}")
     hi = min(n, m // l)
-    log_m_fact = float(gammaln(m + 1))
-    log_norm = float(gammaln(theta + n + m) - gammaln(theta + n))
+    i = np.arange(hi + 1)
+    log_fact = log_gamma_table(1.0, max(n, m) + 1)
+    log_gamma = log_gamma_table(theta, n + m + 1)
+    # m! C(n,i) (theta+n-i)_(m-il) / ((m-il)! (theta+n)_m), before the C(i,x) of each entry
+    log_parts = (
+        log_fact[m]
+        + log_fact[n] - log_fact[i] - log_fact[n - i]
+        + log_gamma[n - i + m - i * l] - log_gamma[n - i]
+        - log_fact[m - i * l]
+        - (log_gamma[n + m] - log_gamma[n])
+    )
     entries = []
     for x in range(hi + 1):
-        i = np.arange(x, hi + 1, dtype=float)
-        log_terms = (
-            log_m_fact
-            - log_norm
-            + _log_binomial_row_float(i, x)
-            + _log_binomial_row(n, i)
-            + gammaln(theta + n - i + m - i * l) - gammaln(theta + n - i)
-            - gammaln(m - i * l + 1)
-        )
-        signs = np.where((i.astype(int) - x) % 2 == 0, 1.0, -1.0)
+        log_terms = log_parts[x:] + log_fact[i[x:]] - log_fact[x] - log_fact[i[x:] - x]
+        signs = np.where((i[x:] - x) % 2 == 0, 1.0, -1.0)
         entries.append(signed_log_sum(log_terms, signs))
     return Pmf.from_signed_sums(entries, 0, context="frequency-level type count")
 
 
-def _log_binomial_row_float(ns: np.ndarray, k: int) -> np.ndarray:
-    return gammaln(ns + 1) - gammaln(k + 1) - gammaln(ns - k + 1)
+def _singleton_closed_entries(
+    m: int, xs, params: ModelParams, i_hi: int, extra_log: np.ndarray
+) -> list:
+    """signed_log_sum results of the direct singleton representation, one per x in xs.
 
-
-def _singleton_closed_entries(m: int, params: ModelParams):
-    """Direct alternating representation of the singleton ancestor law.
-
-    Finite triple sum per entry, obtained by expanding the line-count
-    series inside the mixture and swapping summation order; the series
-    truncates exactly at i = m because higher coefficients are mth-order
-    differences of lower-degree polynomials.  Valid for every theta > 0.
+    Entry x sums, over j = max(x,1)..m, i = j..i_hi and n = j..i,
+    (-1)^(j-x+i+n) C(j,x) C(m,j) (2i-1+theta) e^(-t i(i-1+theta)/2)
+    (theta+n-j)_(m-j) Gamma(theta+n+i-1) / ((n-j)! (i-n)! Gamma(theta+n+m))
+    times e^extra_log[n], plus e^extra_log[0] at x = 0 (the j = i = n = 0
+    corner).  It comes from expanding the line-count series inside the
+    singleton mixture and swapping the order of summation.  With
+    extra_log = 0 and i_hi = m it is the singleton law, exact there
+    because higher coefficients are mth-order differences of
+    lower-degree polynomials; a route whose extra factor keeps more
+    difference orders alive passes a larger i_hi.  extra_log must be
+    finite at every n >= min(xs).  Valid for every theta > 0.
     """
-    theta = params.theta
+    theta, t = params.theta, params.t
+    log_fact = log_gamma_table(1.0, i_hi + 1)
+    log_gamma = log_gamma_table(theta, 2 * i_hi + 1)
+    j_lo = max(min(xs), 1)
+    tri_i, tri_n = np.tril_indices(i_hi - j_lo + 1)
+    blocks = {}
+    for j in range(j_lo, m + 1):
+        # (i, n) pairs with j <= n <= i <= i_hi lead the triangle in row order
+        size = (i_hi - j + 1) * (i_hi - j + 2) // 2
+        i = tri_i[:size] + j
+        n = tri_n[:size] + j
+        log_terms = (
+            np.log(2 * i - 1 + theta) - t * i * (i - 1 + theta) / 2.0
+            - log_fact[n - j] - log_fact[i - n]
+            + log_gamma[n + m - 2 * j] - log_gamma[n - j]
+            + log_gamma[n + i - 1] - log_gamma[n + m]
+            + extra_log[n]
+            + log_fact[m] - log_fact[j] - log_fact[m - j]
+        )
+        blocks[j] = (log_terms, np.where((i + n + j) % 2 == 0, 1.0, -1.0))
     entries = []
-    for x in range(m + 1):
-        log_terms = []
-        signs = []
+    for x in xs:
+        js = range(max(x, 1), m + 1)
+        flip = 1.0 if x % 2 == 0 else -1.0
+        log_terms = [blocks[j][0] + (log_fact[j] - log_fact[x] - log_fact[j - x]) for j in js]
+        signs = [flip * blocks[j][1] for j in js]
         if x == 0:
-            # the boundary term of the line-count expansion is exactly 1
-            log_terms.append(0.0)
-            signs.append(1.0)
-        for j in range(max(x, 1), m + 1):
-            sign_j = 1.0 if (j - x) % 2 == 0 else -1.0
-            log_j = log_binomial(j, x) + log_binomial(m, j)
-            for i in range(j, m + 1):
-                r = rho(i, params)
-                log_ji = log_j + r.log_magnitude - gammaln(i - j + 1)
-                for n in range(j, i + 1):
-                    sign_n = 1.0 if n % 2 == 0 else -1.0
-                    signs.append(sign_j * float(r.sign) * sign_n)
-                    log_terms.append(
-                        log_ji
-                        + log_binomial(i - j, n - j)
-                        + log_rising_factorial(theta + n - j, m - j)
-                        - log_rising_factorial(theta + n + i - 1, m - i + 1)
-                    )
-        entries.append(signed_log_sum(log_terms, signs))
+            log_terms.append([extra_log[0]])
+            signs.append([1.0])
+        entries.append(signed_log_sum(np.concatenate(log_terms), np.concatenate(signs)))
     return entries
 
 
@@ -408,10 +416,9 @@ def singleton_lineage_pmf(m: int, params: ModelParams, method: str = "mixture") 
     if params.t == 0.0:
         raise ValueError("the ancestral line count starts at infinity; t must be > 0")
     if method == "closed":
-        return Pmf.from_signed_sums(
-            _singleton_closed_entries(m, params), 0, context="singleton ancestor count"
-        )
-    weights, _ = _ancestral_values(params, None)
+        entries = _singleton_closed_entries(m, range(m + 1), params, m, np.zeros(m + 1))
+        return Pmf.from_signed_sums(entries, 0, context="singleton ancestor count")
+    weights = _ancestral_values(params, None)
     probs = np.zeros(m + 1)
     for n, w in enumerate(weights):
         if w == 0.0:

@@ -14,7 +14,6 @@ from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import NumericalConditioningError
 from .numerics import log_rising_factorial
@@ -136,7 +135,8 @@ def theta_mle(config: AlleleConfiguration | AllelicPartition) -> float:
     """Maximum-likelihood theta from an observed configuration.
 
     The allele count k is sufficient; the estimate solves
-    expected_k(m, theta) = k by bracketed root finding.
+    expected_k(m, theta) = k by bisecting a bracket down to adjacent
+    floats, which works because expected_k is strictly increasing.
 
     Raises:
         NumericalConditioningError: k == m (every gene its own allele)
@@ -164,7 +164,14 @@ def theta_mle(config: AlleleConfiguration | AllelicPartition) -> float:
             raise NumericalConditioningError(
                 "theta MLE bracket search ran away; configuration is degenerate"
             )
-    return float(brentq(lambda th: expected_k(m, th) - k, lo, hi, xtol=1e-12, rtol=1e-14))
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            return mid
+        if expected_k(m, mid) < k:
+            lo = mid
+        else:
+            hi = mid
 
 
 def hoppe_sample(m: int, theta: float, seed) -> AllelicPartition:

@@ -1,35 +1,32 @@
-"""Log-space primitives and cancellation-aware summation.
+"""Log-space primitives and exactly rounded signed summation.
 
 Every distribution in this package is an alternating sum whose terms can
 dwarf the result, so all term arithmetic happens in log space with explicit
-signs, and the sums themselves run through compensated accumulators that
-report how much cancellation occurred.  A cancellation ratio below 1e-8
-means the result is numerical noise and callers are expected to refuse it.
+signs.  Each sum runs through signed_log_sum, which reports how much
+cancellation occurred, and reliable_value turns it into a number only when
+the surviving digits are more than rounding noise; otherwise callers see a
+NumericalConditioningError.  Log-gamma values come from math.lgamma, in
+per-call tables where a kernel needs many of them.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Iterable, Iterator
 
 import numpy as np
-from scipy.special import gammaln
+
+from .errors import NumericalConditioningError
 
 __all__ = [
     "SignedLogValue",
-    "SeriesResult",
+    "log_gamma_table",
     "log_rising_factorial",
-    "log_falling_factorial",
     "log_binomial",
-    "compensated_signed_sum",
     "signed_log_sum",
-    "stirling2",
-    "signless_stirling1",
+    "reliable_value",
 ]
 
-ILL_CONDITIONED_RATIO = 1e-8
 CLIP_FLOOR = 1e-10
 # exp(log_max_term - LOG_NOISE_SHIFT) estimates the absolute rounding noise
 # of a sum whose largest term has that log magnitude (2**-52 ~ exp(-36),
@@ -37,7 +34,7 @@ CLIP_FLOOR = 1e-10
 LOG_NOISE_SHIFT = 34.5
 # a probability entry whose absolute noise exceeds this is unusable; for
 # results bounded by 1, crossing it implies a cancellation ratio far below
-# ILL_CONDITIONED_RATIO
+# 1e-8
 ENTRY_NOISE_BUDGET = 1e-8
 
 
@@ -78,20 +75,13 @@ class SignedLogValue:
         return SignedLogValue(sign, self.log_magnitude + other.log_magnitude)
 
 
-@dataclass(frozen=True)
-class SeriesResult:
-    """Outcome of a compensated series summation.
+def log_gamma_table(base: float, size: int) -> np.ndarray:
+    """lgamma(base + k) for k = 0..size-1.
 
-    cancellation_ratio is |result| divided by the largest term magnitude;
-    ratios near 1 mean benign sums, ratios below 1e-8 mean the digits that
-    survived are rounding error.  ``converged`` is False only when the sum
-    stopped because it hit the term budget.
+    With base 1 this is log k!; with base theta, differences of entries
+    give log rising factorials (theta + a)_n = G[a + n] - G[a].
     """
-
-    value: float
-    cancellation_ratio: float
-    terms_used: int
-    converged: bool
+    return np.array([math.lgamma(base + k) for k in range(size)])
 
 
 def log_rising_factorial(x: float, n: int) -> float:
@@ -114,31 +104,7 @@ def log_rising_factorial(x: float, n: int) -> float:
         return 0.0
     if x == 0.0:
         return -math.inf
-    return float(gammaln(x + n) - gammaln(x))
-
-
-def log_falling_factorial(x: float, n: int) -> SignedLogValue:
-    """Signed log of the falling factorial (x)_[n] = x (x-1) ... (x-n+1).
-
-    Falling factorials vanish at integer x < n and change sign below that,
-    so the result carries an explicit sign.  n stays small (bounded by
-    sample sizes), so the direct product of log factors is both exact
-    enough and simpler than a reflection through gamma functions.
-    """
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
-    if n == 0:
-        return SignedLogValue(1, 0.0)
-    sign = 1
-    logs = []
-    for k in range(n):
-        factor = x - k
-        if factor == 0.0:
-            return SignedLogValue(0, -math.inf)
-        if factor < 0:
-            sign = -sign
-        logs.append(math.log(abs(factor)))
-    return SignedLogValue(sign, math.fsum(logs))
+    return math.lgamma(x + n) - math.lgamma(x)
 
 
 def log_binomial(n: int, k: int) -> float:
@@ -147,100 +113,20 @@ def log_binomial(n: int, k: int) -> float:
         raise ValueError(f"n must be >= 0, got {n}")
     if k < 0 or k > n:
         return -math.inf
-    return float(gammaln(n + 1) - gammaln(k + 1) - gammaln(n - k + 1))
-
-
-def compensated_signed_sum(
-    terms: Iterable[SignedLogValue],
-    rtol: float = 1e-12,
-    atol: float = 1e-300,
-    max_terms: int = 10_000,
-) -> SeriesResult:
-    """Sum signed log-space terms with compensation and early stopping.
-
-    Terms are accumulated in linear space after rescaling by the running
-    maximum log magnitude, with Kahan compensation, so the only precision
-    lost is the final rounding of each rescaled term.  The sum stops early
-    once the term magnitudes have passed their peak and two consecutive
-    terms fall below rtol * |partial sum| + atol; stopping on a single
-    small term would misread the zero crossings of alternating series.
-
-    Args:
-        terms: iterable of SignedLogValue, e.g. a generator over series
-            indices.  Magnitudes may rise before they decay (the ancestral
-            series do), which is why the peak must pass before the
-            tail test arms itself.
-        rtol: relative tail tolerance against the current partial sum.
-        atol: absolute tail tolerance.
-        max_terms: hard budget; exceeding it returns converged=False.
-
-    Returns:
-        SeriesResult with the summed value and diagnostics.  An exhausted
-        iterable converges by definition (finite sums are complete).
-    """
-    it: Iterator[SignedLogValue] = iter(terms)
-    frame = -math.inf  # current rescaling log magnitude
-    acc = 0.0  # accumulated sum, scaled by exp(-frame)
-    carry = 0.0  # Kahan compensation in the same frame
-    peak = -math.inf
-    past_peak = False
-    consecutive_small = 0
-    terms_used = 0
-    converged = True
-    log_atol = math.log(atol) if atol > 0 else -math.inf
-
-    for term in it:
-        if terms_used >= max_terms:
-            converged = False
-            break
-        terms_used += 1
-        if term.sign != 0:
-            if term.log_magnitude > frame:
-                # rescale the accumulator into the new frame
-                shrink = math.exp(frame - term.log_magnitude)
-                acc *= shrink
-                carry *= shrink
-                frame = term.log_magnitude
-            y = term.sign * math.exp(term.log_magnitude - frame) - carry
-            t = acc + y
-            carry = (t - acc) - y
-            acc = t
-            if term.log_magnitude < peak:
-                past_peak = True
-            else:
-                peak = term.log_magnitude
-
-        # tail test in the current frame
-        if term.sign == 0:
-            small = True
-        else:
-            exponent = log_atol - frame
-            atol_frame = math.inf if exponent > 700 else math.exp(exponent)
-            small = math.exp(term.log_magnitude - frame) < rtol * abs(acc) + atol_frame
-        consecutive_small = consecutive_small + 1 if small else 0
-        if past_peak and consecutive_small >= 2:
-            break
-
-    if frame == -math.inf:
-        # no nonzero term: exact zero with nothing cancelled
-        return SeriesResult(0.0, 1.0, terms_used, converged)
-    try:
-        value = acc * math.exp(frame)
-    except OverflowError:
-        value = math.copysign(math.inf, acc)
-    # in this frame the largest term had magnitude exp(peak - frame) == 1
-    return SeriesResult(value, abs(acc), terms_used, converged)
+    return math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
 
 
 def signed_log_sum(
     log_terms: np.ndarray, signs: np.ndarray
 ) -> tuple[SignedLogValue, float, float]:
-    """Batch companion of compensated_signed_sum for finite index ranges.
+    """Sum of sign * exp(log_term) over a finite set of terms.
 
     Returns (total, cancellation_ratio, log of the peak term magnitude).
-    The scaled mantissas are combined with math.fsum, which is exact, so
-    the result differs from the true sum of the rounded terms only by the
-    final rounding.
+    The ratio is |total| over the peak term: near 1 for benign sums, tiny
+    when the digits that survive are rounding error.  The scaled
+    mantissas are combined with math.fsum, which is exact, so the result
+    differs from the true sum of the rounded terms only by the final
+    rounding.
     """
     log_terms = np.asarray(log_terms, dtype=float)
     signs = np.asarray(signs, dtype=float)
@@ -256,49 +142,30 @@ def signed_log_sum(
     return SignedLogValue(1 if total > 0 else -1, math.log(abs(total)) + m), ratio, m
 
 
-MAX_STIRLING_N = 30
+def reliable_value(
+    entry: tuple[SignedLogValue, float, float], what: str, remedy: str
+) -> float:
+    """The value of a signed_log_sum result, or a refusal.
 
-
-@lru_cache(maxsize=None)
-def _stirling2_rows(n_max: int) -> tuple[tuple[int, ...], ...]:
-    rows = [(1,)]
-    for n in range(1, n_max + 1):
-        prev = rows[-1]
-        row = [0] * (n + 1)
-        for k in range(1, n + 1):
-            above = prev[k] if k < n else 0
-            row[k] = k * above + prev[k - 1]
-        rows.append(tuple(row))
-    return tuple(rows)
-
-
-@lru_cache(maxsize=None)
-def _stirling1_rows(n_max: int) -> tuple[tuple[int, ...], ...]:
-    rows = [(1,)]
-    for n in range(1, n_max + 1):
-        prev = rows[-1]
-        row = [0] * (n + 1)
-        for k in range(1, n + 1):
-            above = prev[k] if k < n else 0
-            row[k] = (n - 1) * above + prev[k - 1]
-        rows.append(tuple(row))
-    return tuple(rows)
-
-
-def _check_stirling_args(n: int, k: int) -> None:
-    if not (0 <= n <= MAX_STIRLING_N):
-        raise ValueError(f"n must be in [0, {MAX_STIRLING_N}], got {n}")
-    if not (0 <= k <= n):
-        raise ValueError(f"k must be in [0, n], got k={k}, n={n}")
-
-
-def stirling2(n: int, k: int) -> int:
-    """Stirling number of the second kind: partitions of n items into k blocks."""
-    _check_stirling_args(n, k)
-    return _stirling2_rows(MAX_STIRLING_N)[n][k]
-
-
-def signless_stirling1(n: int, k: int) -> int:
-    """Unsigned Stirling number of the first kind: permutations of n items with k cycles."""
-    _check_stirling_args(n, k)
-    return _stirling1_rows(MAX_STIRLING_N)[n][k]
+    The sum carries absolute rounding noise on the order of its peak term
+    times accumulated ulps; a sum whose noise exceeds ENTRY_NOISE_BUDGET
+    (for probability-sized results, a cancellation ratio far below 1e-8)
+    is refused.  A negative value within the larger of CLIP_FLOOR and the
+    noise scale is clipped to zero; a larger negative is refused.
+    ``what`` names the quantity and ``remedy`` the way around a refusal.
+    """
+    total, ratio, log_peak = entry
+    noise = 0.0 if log_peak == -math.inf else math.exp(min(log_peak - LOG_NOISE_SHIFT, 700.0))
+    if noise > ENTRY_NOISE_BUDGET:
+        raise NumericalConditioningError(
+            f"{what} lost all significant digits (cancellation ratio "
+            f"{ratio:.2e}, noise scale {noise:.2e}); {remedy}",
+            cancellation_ratio=ratio,
+        )
+    value = total.value
+    if value < -max(CLIP_FLOOR, noise):
+        raise NumericalConditioningError(
+            f"{what} is negative beyond the clipping floor ({value:.3e})",
+            cancellation_ratio=ratio,
+        )
+    return max(value, 0.0)

@@ -3,25 +3,19 @@
 A Pmf here is a contiguous block of probabilities starting at
 ``support_offset``, plus bookkeeping about how trustworthy the numbers
 are: the mass defect observed before any repair, and whether the entries
-were renormalized.  Assembly from signed log-space sums applies the
-package-wide reliability gates (cancellation ratio, clipping floor, mass
-tolerance) in one place.
+were renormalized.  Assembly from signed log-space sums passes every
+entry through the package-wide noise gate (numerics.reliable_value) and
+then the mass tolerance.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NumericalConditioningError
-from .numerics import (
-    CLIP_FLOOR,
-    ENTRY_NOISE_BUDGET,
-    LOG_NOISE_SHIFT,
-    SignedLogValue,
-)
+from .numerics import CLIP_FLOOR, SignedLogValue, reliable_value
 
 __all__ = ["Pmf", "MASS_TOLERANCE"]
 
@@ -93,47 +87,21 @@ class Pmf:
     ) -> "Pmf":
         """Assemble a Pmf from per-entry (total, cancellation_ratio, log_peak_term).
 
-        Applies the reliability policy: each entry carries absolute
-        rounding noise on the order of its peak term times accumulated
-        ulps, and any entry whose noise exceeds the package budget (1e-8,
-        which for probability-sized results means the cancellation ratio
-        collapsed far below 1e-8) fails the whole pmf.  Residual
-        negatives within the larger of the clipping floor and the entry's
-        own noise scale are clipped to zero; larger negatives are
-        failures.  With renormalize=True the surviving entries are scaled
+        Each entry passes numerics.reliable_value, so one entry lost to
+        rounding noise, or negative beyond its noise scale, fails the
+        whole pmf.  With renormalize=True the surviving entries are scaled
         to unit mass and the pre-repair defect is recorded; truncated
         laws pass renormalize=False to keep the tail defect visible.
         """
-        values = np.empty(len(entries))
-        for i, (slv, ratio, log_peak) in enumerate(entries):
-            noise = 0.0 if log_peak == -math.inf else math.exp(min(log_peak - LOG_NOISE_SHIFT, 700.0))
-            if noise > ENTRY_NOISE_BUDGET:
-                raise NumericalConditioningError(
-                    f"{context}: entry at {support_offset + i} lost all significant "
-                    f"digits (cancellation ratio {ratio:.2e}, noise scale {noise:.2e}); "
-                    "use the simulation path for this parameter regime",
-                    cancellation_ratio=ratio,
-                )
-            v = slv.value
-            if v < 0.0:
-                if v < -max(CLIP_FLOOR, noise):
-                    raise NumericalConditioningError(
-                        f"{context}: entry at {support_offset + i} is negative beyond "
-                        f"the clipping floor ({v:.3e})",
-                        cancellation_ratio=ratio,
-                    )
-                v = 0.0
-            values[i] = v
-        total = float(values.sum())
-        defect = abs(1.0 - total)
-        if defect > MASS_TOLERANCE:
-            raise NumericalConditioningError(
-                f"{context}: mass defect {defect:.3e} exceeds {MASS_TOLERANCE:.0e}"
+        values = np.array([
+            reliable_value(
+                entry,
+                f"{context}: entry at {support_offset + i}",
+                "use the simulation path for this parameter regime",
             )
-        if renormalize and total > 0.0:
-            values = values / total
-            return cls(support_offset, values, defect, renormalized=defect > 1e-15)
-        return cls(support_offset, values, defect, renormalized=False)
+            for i, entry in enumerate(entries)
+        ])
+        return cls._mass_checked(values, support_offset, renormalize, context)
 
     @classmethod
     def from_floats(
@@ -151,6 +119,10 @@ class Pmf:
                 f"{context}: negative probability beyond the clipping floor"
             )
         values[neg] = 0.0
+        return cls._mass_checked(values, support_offset, renormalize, context)
+
+    @classmethod
+    def _mass_checked(cls, values, support_offset, renormalize, context) -> "Pmf":
         total = float(values.sum())
         defect = abs(1.0 - total)
         if defect > MASS_TOLERANCE:

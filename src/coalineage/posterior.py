@@ -20,18 +20,18 @@ import numpy as np
 from .ancestral import (
     ModelParams,
     _ancestral_values,
+    _singleton_closed_entries,
     lineage_pmf,
     r_freq_pmf,
     r_pmf,
-    rho,
     singleton_lineage_pmf,
 )
 from .errors import NumericalConditioningError
 from .numerics import (
-    ENTRY_NOISE_BUDGET,
-    LOG_NOISE_SHIFT,
     log_binomial,
+    log_gamma_table,
     log_rising_factorial,
+    reliable_value,
     signed_log_sum,
 )
 from .pmf import Pmf
@@ -41,8 +41,6 @@ __all__ = [
     "PredictiveQuery",
     "cond_r_pmf",
     "cond_r_freq_pmf",
-    "factorial_moment_r",
-    "factorial_moment_r_freq",
     "n_posterior",
     "predictive_lineage_pmf",
     "predictive_singleton_pmf",
@@ -53,6 +51,15 @@ __all__ = [
 # conditioning events with less marginal mass than this are refused:
 # renormalizing them would promote numerical noise to a law
 MARGINAL_FLOOR = 1e-12
+
+
+def _conditioning_mass(p: float, event: str) -> float:
+    """p, the marginal mass of the conditioning event, refused below MARGINAL_FLOOR."""
+    if p < MARGINAL_FLOOR:
+        raise NumericalConditioningError(
+            f"conditioning event has negligible mass: {event} ~ {p:.2e}"
+        )
+    return p
 
 
 def _require_count(value, name: str) -> int:
@@ -151,63 +158,6 @@ def cond_r_freq_pmf(l: int, n: int, m: int, m_prime: int, y: int, theta: float) 
     return Pmf.from_signed_sums(entries, support_offset=0, context="hit type count")
 
 
-def factorial_moment_r(r: int, n: int, m: int, m_prime: int, y: int, theta: float) -> float:
-    """Falling-factorial moment E[(X)_[r]] of the enlarged type count."""
-    if r < 0:
-        raise ValueError(f"r must be >= 0, got {r}")
-    _validate_conditional_args(n, m, m_prime, y, theta, y_cap=min(n, m))
-    if r == 0:
-        return 1.0
-    if r > n:
-        # the count is bounded by the n seed types
-        return 0.0
-    log_denom = log_rising_factorial(theta + n + m, m_prime)
-    log_terms = []
-    signs = []
-    for s in range(min(r, n - y) + 1):
-        signs.append(1.0 if s % 2 == 0 else -1.0)
-        log_terms.append(
-            math.lgamma(r + 1)
-            + log_binomial(n - s, r - s)
-            + log_binomial(n - y, s)
-            + log_rising_factorial(theta + n + m - s, m_prime)
-            - log_denom
-        )
-    total, _, _ = signed_log_sum(log_terms, signs)
-    return total.value
-
-
-def factorial_moment_r_freq(
-    r: int, l: int, n: int, m: int, m_prime: int, y: int, theta: float
-) -> float:
-    """Falling-factorial moment E[(X)_[r]] of the hit frequency-l type count."""
-    if r < 0:
-        raise ValueError(f"r must be >= 0, got {r}")
-    if l < 1:
-        raise ValueError(f"l must be >= 1, got {l}")
-    _validate_conditional_args(n, m, m_prime, y, theta, y_cap=min(n, m // l))
-    if r == 0:
-        return 1.0
-    if r > y:
-        return 0.0
-    log_denom = log_rising_factorial(theta + n + m, m_prime)
-    log_terms = []
-    signs = []
-    for s in range(r + 1):
-        signs.append(1.0 if s % 2 == 0 else -1.0)
-        log_terms.append(
-            log_binomial(r, s)
-            + math.lgamma(s + 1)
-            + log_binomial(y, s)
-            + math.lgamma(y - s + 1)
-            - math.lgamma(y - r + 1)
-            + log_rising_factorial(theta + n + m - s * (1 + l), m_prime)
-            - log_denom
-        )
-    total, _, _ = signed_log_sum(log_terms, signs)
-    return total.value
-
-
 def n_posterior(m: int, y: int, params: ModelParams, mode: str = "total") -> Pmf:
     """Posterior over the population's surviving line count n.
 
@@ -221,7 +171,7 @@ def n_posterior(m: int, y: int, params: ModelParams, mode: str = "total") -> Pmf
         raise ValueError(f"m must be >= 1, got {m}")
     if not 0 <= y <= m:
         raise ValueError(f"y must be in [0, {m}], got {y}")
-    values, _ = _ancestral_values(params, None)
+    values = _ancestral_values(params, None)
     weights = np.zeros(len(values))
     for n, d_n in enumerate(values):
         if d_n == 0.0:
@@ -231,12 +181,9 @@ def n_posterior(m: int, y: int, params: ModelParams, mode: str = "total") -> Pmf
         else:
             likelihood = r_freq_pmf(1, n, m, params.theta).prob(y)
         weights[n] = d_n * likelihood
-    marginal = float(weights.sum())
-    if marginal < MARGINAL_FLOOR:
-        raise NumericalConditioningError(
-            f"conditioning event has negligible mass: the observed statistic "
-            f"{y} has marginal probability ~ {marginal:.2e} at t = {params.t:g}"
-        )
+    marginal = _conditioning_mass(
+        float(weights.sum()), f"the observed statistic {y} at t = {params.t:g} has probability"
+    )
     return Pmf.from_floats(
         weights / marginal, support_offset=0, context="line count posterior"
     )
@@ -264,11 +211,7 @@ def predictive_lineage_pmf(query: PredictiveQuery, method: str = "mixture") -> P
         return _point_mass(y)
     if params.t == 0.0:
         # every line is still alive at time zero
-        if y != m:
-            raise NumericalConditioningError(
-                f"conditioning event has negligible mass: at t = 0 the line "
-                f"count of an m = {m} sample is surely {m}, not {y}"
-            )
+        _conditioning_mass(lineage_pmf(m, params).prob(y), f"P[line count = {y}]")
         return _point_mass(m + m_prime)
     if method == "mixture":
         posterior = n_posterior(m, y, params, mode="total")
@@ -279,12 +222,7 @@ def predictive_lineage_pmf(query: PredictiveQuery, method: str = "mixture") -> P
             for x, p in cond_r_pmf(n, m, m_prime, y, params.theta).items():
                 probs[x - y] += w * p
         return Pmf.from_floats(probs, support_offset=y, context="enlarged line count")
-    base_prob = lineage_pmf(m, params).prob(y)
-    if base_prob < MARGINAL_FLOOR:
-        raise NumericalConditioningError(
-            f"conditioning event has negligible mass: P[line count = {y}] "
-            f"~ {base_prob:.2e}"
-        )
+    base_prob = _conditioning_mass(lineage_pmf(m, params).prob(y), f"P[line count = {y}]")
     enlarged = lineage_pmf(m + m_prime, params)
     theta = params.theta
     log_common = (
@@ -306,48 +244,12 @@ def predictive_lineage_pmf(query: PredictiveQuery, method: str = "mixture") -> P
     return Pmf.from_floats(probs, support_offset=y, context="enlarged line count")
 
 
-def _singleton_series_sum(
-    m: int,
-    y: int,
-    params: ModelParams,
-    i_hi: int,
-    extra_log_term,
+def _closed_singleton_value(
+    m: int, y: int, params: ModelParams, i_hi: int, extra_log: np.ndarray
 ) -> float:
-    """Alternating series over (j, i, n) shared by the closed singleton routes.
-
-    extra_log_term(n) supplies the route-specific log factor attached to
-    each term.  The i range must extend past m far enough to cover the
-    difference orders that factor keeps alive; the caller passes i_hi.
-    """
-    theta = params.theta
-    log_terms = []
-    signs = []
-    for j in range(max(y, 1), m + 1):
-        sign_j = 1.0 if (j - y) % 2 == 0 else -1.0
-        log_j = log_binomial(j, y) + log_binomial(m, j)
-        for i in range(j, i_hi + 1):
-            r = rho(i, params)
-            log_ji = log_j + r.log_magnitude - math.lgamma(i - j + 1)
-            for n in range(j, i + 1):
-                sign_n = 1.0 if n % 2 == 0 else -1.0
-                signs.append(sign_j * float(r.sign) * sign_n)
-                log_terms.append(
-                    log_ji
-                    + log_binomial(i - j, n - j)
-                    + log_rising_factorial(theta + n - j, m - j)
-                    + math.lgamma(theta + n + i - 1)
-                    - math.lgamma(theta + n + m)
-                    + extra_log_term(n)
-                )
-    total, ratio, log_peak = signed_log_sum(log_terms, signs)
-    noise = 0.0 if log_peak == -math.inf else math.exp(min(log_peak - LOG_NOISE_SHIFT, 700.0))
-    if noise > ENTRY_NOISE_BUDGET:
-        raise NumericalConditioningError(
-            f"closed singleton series lost all significant digits "
-            f"(cancellation ratio {ratio:.2e}); use the mixture route",
-            cancellation_ratio=ratio,
-        )
-    return total.value
+    """One gated entry x = y of the closed singleton kernel (see ancestral)."""
+    entry = _singleton_closed_entries(m, [y], params, i_hi, extra_log)[0]
+    return reliable_value(entry, "closed singleton series", "use the mixture route")
 
 
 def predictive_singleton_pmf(query: PredictiveQuery, method: str = "mixture") -> Pmf:
@@ -375,27 +277,22 @@ def predictive_singleton_pmf(query: PredictiveQuery, method: str = "mixture") ->
             for x, p in cond_r_freq_pmf(1, n, m, m_prime, y, theta).items():
                 probs[x] += w * p
         return Pmf.from_floats(probs, support_offset=0, context="hit singleton count")
-    marginal = singleton_lineage_pmf(m, params).prob(y)
-    if marginal < MARGINAL_FLOOR:
-        raise NumericalConditioningError(
-            f"conditioning event has negligible mass: P[singleton count = {y}] "
-            f"~ {marginal:.2e}"
-        )
+    marginal = _conditioning_mass(
+        singleton_lineage_pmf(m, params).prob(y), f"P[singleton count = {y}]"
+    )
+    i_hi = m + m_prime
+    log_gamma = log_gamma_table(theta, 2 * i_hi + 1)
+    n = np.arange(y, i_hi + 1)
     inner = np.zeros(y + 1)
     for k in range(y + 1):
-        def draw_factor(n: int, k: int = k) -> float:
-            return log_rising_factorial(theta + n + m - 2 * k, m_prime) - log_rising_factorial(
-                theta + n + m, m_prime
-            )
-
-        corner = 0.0
-        if y == 0:
-            # the j = i = n = 0 corner of the line-count expansion
-            corner = math.exp(
-                log_rising_factorial(theta + m - 2 * k, m_prime)
-                - log_rising_factorial(theta + m, m_prime)
-            )
-        inner[k] = corner + _singleton_series_sum(m, y, params, m + m_prime, draw_factor)
+        # log (theta+n+m-2k)_m' / (theta+n+m)_m': k given singleton lines
+        # escape all m' draws
+        extra_log = np.zeros(i_hi + 1)
+        extra_log[y:] = (
+            log_gamma[n + m - 2 * k + m_prime] - log_gamma[n + m - 2 * k]
+            - (log_gamma[n + m + m_prime] - log_gamma[n + m])
+        )
+        inner[k] = _closed_singleton_value(m, y, params, i_hi, extra_log)
     probs = np.zeros(min(y, m_prime) + 1)
     for x in range(len(probs)):
         sign_x = 1.0 if x % 2 == 0 else -1.0
@@ -417,12 +314,7 @@ def gt_new_lineage_prob(m: int, y: int, params: ModelParams) -> float:
         raise ValueError(f"m must be >= 1, got {m}")
     if not 0 <= y <= m:
         raise ValueError(f"y must be in [0, {m}], got {y}")
-    p_y = lineage_pmf(m, params).prob(y)
-    if p_y < MARGINAL_FLOOR:
-        raise NumericalConditioningError(
-            f"conditioning event has negligible mass: P[line count = {y}] "
-            f"~ {p_y:.2e}"
-        )
+    p_y = _conditioning_mass(lineage_pmf(m, params).prob(y), f"P[line count = {y}]")
     p_up = lineage_pmf(m + 1, params).prob(y + 1)
     theta = params.theta
     return (y + 1) * (theta + y) * p_up / ((m + 1) * (theta + m) * p_y)
@@ -448,13 +340,9 @@ def gt_singleton_prob(m: int, y: int, params: ModelParams, method: str = "mixtur
     if method == "mixture":
         posterior = n_posterior(m, y, params, mode="singleton")
         return math.fsum(w * 2 * y / (theta + n + m) for n, w in posterior.items())
-    marginal = singleton_lineage_pmf(m, params).prob(y)
-    if marginal < MARGINAL_FLOOR:
-        raise NumericalConditioningError(
-            f"conditioning event has negligible mass: P[singleton count = {y}] "
-            f"~ {marginal:.2e}"
-        )
-    total = _singleton_series_sum(
-        m, y, params, m + 1, lambda n: -math.log(theta + n + m)
+    marginal = _conditioning_mass(
+        singleton_lineage_pmf(m, params).prob(y), f"P[singleton count = {y}]"
     )
+    extra_log = -np.log(theta + np.arange(m + 2) + m)
+    total = _closed_singleton_value(m, y, params, m + 1, extra_log)
     return 2.0 * y * total / marginal

@@ -20,47 +20,11 @@ import numpy as np
 from .ewens import AllelicPartition
 
 __all__ = [
-    "BlockState",
     "ReplicateSummary",
-    "step_block_process",
     "simulate_block_process",
-    "simulate_death_process",
     "run_replicates",
     "default_threads",
 ]
-
-
-@dataclass(frozen=True)
-class BlockState:
-    """Spectrum of surviving blocks: spectrum[l-1] blocks carry l units."""
-
-    spectrum: tuple[int, ...]
-
-    def __post_init__(self):
-        spectrum = tuple(int(c) for c in self.spectrum)
-        if any(c < 0 for c in spectrum):
-            raise ValueError("spectrum entries must be nonnegative")
-        # canonical form; the absorbed state is the empty tuple
-        while spectrum and spectrum[-1] == 0:
-            spectrum = spectrum[:-1]
-        object.__setattr__(self, "spectrum", spectrum)
-
-    @classmethod
-    def from_partition(cls, partition: AllelicPartition) -> "BlockState":
-        return cls(partition.spectrum)
-
-    @property
-    def x(self) -> int:
-        """Surviving ancestral weight: total units over all blocks."""
-        return sum((l + 1) * c for l, c in enumerate(self.spectrum))
-
-    @property
-    def block_count(self) -> int:
-        return sum(self.spectrum)
-
-    @property
-    def singletons(self) -> int:
-        return self.spectrum[0] if self.spectrum else 0
 
 
 @dataclass(frozen=True)
@@ -72,44 +36,14 @@ class ReplicateSummary:
     seed: object
 
 
-def step_block_process(
-    state: BlockState, theta: float, rng: np.random.Generator
-) -> tuple[float, BlockState]:
-    """One deletion event: waiting time and the state after it.
-
-    Draws the exponential holding time at rate x(x+theta-1)/2, then
-    removes one unit chosen uniformly among the x survivors (a block of
-    size l loses a unit with probability l * spectrum[l-1] / x).
-    """
-    x = state.x
-    if x == 0:
-        raise ValueError("the process is absorbed; no further steps")
-    rate = x * (x + theta - 1) / 2.0
-    holding = rng.exponential(1.0 / rate)
-    u = rng.random() * x
-    spectrum = list(state.spectrum)
-    for l0, c in enumerate(spectrum):
-        u -= (l0 + 1) * c
-        if u < 0:
-            spectrum[l0] -= 1
-            if l0 > 0:
-                spectrum[l0 - 1] += 1
-            return holding, BlockState(tuple(spectrum))
-    # float rounding put u at the total; charge the largest occupied block
-    l0 = max(i for i, c in enumerate(spectrum) if c > 0)
-    spectrum[l0] -= 1
-    if l0 > 0:
-        spectrum[l0 - 1] += 1
-    return holding, BlockState(tuple(spectrum))
-
-
 def simulate_block_process(
     initial: AllelicPartition, theta: float, t_horizon: float, seed
 ) -> ReplicateSummary:
     """Run the deletion process from an observed partition to a horizon.
 
-    Equivalent to iterating step_block_process with the same generator
-    (identical stream consumption), implemented as a flat loop.  The
+    Each event draws the exponential holding time at rate x(x+theta-1)/2,
+    then removes one unit chosen uniformly among the x survivors (a block
+    of size l loses a unit with probability l * spectrum[l-1] / x).  The
     summary reports the surviving weight and the size-1 block count at
     the horizon; both are 0 once the process absorbs.
     """
@@ -143,29 +77,14 @@ def simulate_block_process(
     return ReplicateSummary(d_total=x, d_singleton=spectrum[0] if spectrum else 0, seed=key)
 
 
-def simulate_death_process(start_n: int, theta: float, t_horizon: float, seed) -> int:
-    """Level of the pure death process (rates n(n-1+theta)/2) at the horizon."""
-    if start_n < 0:
-        raise ValueError(f"start_n must be nonnegative, got {start_n}")
-    if not (theta > 0):
-        raise ValueError(f"theta must be positive, got {theta}")
-    if not (t_horizon >= 0):
-        raise ValueError(f"t_horizon must be nonnegative, got {t_horizon}")
-    if start_n == 0:
-        return 0
-    rng = np.random.default_rng(seed)
-    levels = np.arange(start_n, 0, -1, dtype=float)
-    rates = levels * (levels - 1 + theta) / 2.0
-    waits = rng.exponential(1.0, size=start_n) / rates
-    passed = int(np.searchsorted(np.cumsum(waits), t_horizon, side="right"))
-    return start_n - passed
-
-
 def default_threads() -> int:
     """Worker count: COALESCENT_THREADS if set, else the machine's cores."""
     env = os.environ.get("COALESCENT_THREADS")
     if env is not None:
-        n = int(env)
+        try:
+            n = int(env)
+        except ValueError:
+            raise ValueError(f"COALESCENT_THREADS must be an integer, got {env!r}") from None
         if n < 1:
             raise ValueError(f"COALESCENT_THREADS must be >= 1, got {env}")
         return n
@@ -210,6 +129,10 @@ def run_replicates(
             for lo, hi in zip(bounds[:-1], bounds[1:])
             if hi > lo
         ]
+        # numpy imports numpy.random on first use; do it here, once, rather
+        # than in every forked worker on every call
+        import numpy.random  # noqa: F401
+
         rows = []
         with ProcessPoolExecutor(max_workers=threads) as pool:
             for part in pool.map(_run_chunk, jobs):

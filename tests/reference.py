@@ -1,0 +1,235 @@
+"""Reference implementations that only the tests use.
+
+Exact combinatorial counts, falling factorials and factorial moments give
+independent checks on the analytic laws; the event-by-event block-process
+step and the death-process sampler are the oracles the production
+simulator is compared against.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+from functools import lru_cache
+
+import numpy as np
+
+from coalineage.ewens import AllelicPartition
+from coalineage.numerics import (
+    SignedLogValue,
+    log_binomial,
+    log_rising_factorial,
+    signed_log_sum,
+)
+from coalineage.posterior import _validate_conditional_args
+
+
+MAX_STIRLING_N = 30
+
+
+@lru_cache(maxsize=None)
+def _stirling2_rows(n_max: int) -> tuple[tuple[int, ...], ...]:
+    rows = [(1,)]
+    for n in range(1, n_max + 1):
+        prev = rows[-1]
+        row = [0] * (n + 1)
+        for k in range(1, n + 1):
+            above = prev[k] if k < n else 0
+            row[k] = k * above + prev[k - 1]
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
+@lru_cache(maxsize=None)
+def _stirling1_rows(n_max: int) -> tuple[tuple[int, ...], ...]:
+    rows = [(1,)]
+    for n in range(1, n_max + 1):
+        prev = rows[-1]
+        row = [0] * (n + 1)
+        for k in range(1, n + 1):
+            above = prev[k] if k < n else 0
+            row[k] = (n - 1) * above + prev[k - 1]
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
+def _check_stirling_args(n: int, k: int) -> None:
+    if not (0 <= n <= MAX_STIRLING_N):
+        raise ValueError(f"n must be in [0, {MAX_STIRLING_N}], got {n}")
+    if not (0 <= k <= n):
+        raise ValueError(f"k must be in [0, n], got k={k}, n={n}")
+
+
+def stirling2(n: int, k: int) -> int:
+    """Stirling number of the second kind: partitions of n items into k blocks."""
+    _check_stirling_args(n, k)
+    return _stirling2_rows(MAX_STIRLING_N)[n][k]
+
+
+def signless_stirling1(n: int, k: int) -> int:
+    """Unsigned Stirling number of the first kind: permutations of n items with k cycles."""
+    _check_stirling_args(n, k)
+    return _stirling1_rows(MAX_STIRLING_N)[n][k]
+
+
+def log_falling_factorial(x: float, n: int) -> SignedLogValue:
+    """Signed log of the falling factorial (x)_[n] = x (x-1) ... (x-n+1).
+
+    Falling factorials vanish at integer x < n and change sign below that,
+    so the result carries an explicit sign.  n stays small (bounded by
+    sample sizes), so the direct product of log factors is both exact
+    enough and simpler than a reflection through gamma functions.
+    """
+    if n < 0:
+        raise ValueError(f"n must be >= 0, got {n}")
+    if n == 0:
+        return SignedLogValue(1, 0.0)
+    sign = 1
+    logs = []
+    for k in range(n):
+        factor = x - k
+        if factor == 0.0:
+            return SignedLogValue(0, -math.inf)
+        if factor < 0:
+            sign = -sign
+        logs.append(math.log(abs(factor)))
+    return SignedLogValue(sign, math.fsum(logs))
+
+
+def factorial_moment_r(r: int, n: int, m: int, m_prime: int, y: int, theta: float) -> float:
+    """Falling-factorial moment E[(X)_[r]] of the enlarged type count."""
+    if r < 0:
+        raise ValueError(f"r must be >= 0, got {r}")
+    _validate_conditional_args(n, m, m_prime, y, theta, y_cap=min(n, m))
+    if r == 0:
+        return 1.0
+    if r > n:
+        # the count is bounded by the n seed types
+        return 0.0
+    log_denom = log_rising_factorial(theta + n + m, m_prime)
+    log_terms = []
+    signs = []
+    for s in range(min(r, n - y) + 1):
+        signs.append(1.0 if s % 2 == 0 else -1.0)
+        log_terms.append(
+            math.lgamma(r + 1)
+            + log_binomial(n - s, r - s)
+            + log_binomial(n - y, s)
+            + log_rising_factorial(theta + n + m - s, m_prime)
+            - log_denom
+        )
+    total, _, _ = signed_log_sum(log_terms, signs)
+    return total.value
+
+
+def factorial_moment_r_freq(
+    r: int, l: int, n: int, m: int, m_prime: int, y: int, theta: float
+) -> float:
+    """Falling-factorial moment E[(X)_[r]] of the hit frequency-l type count."""
+    if r < 0:
+        raise ValueError(f"r must be >= 0, got {r}")
+    if l < 1:
+        raise ValueError(f"l must be >= 1, got {l}")
+    _validate_conditional_args(n, m, m_prime, y, theta, y_cap=min(n, m // l))
+    if r == 0:
+        return 1.0
+    if r > y:
+        return 0.0
+    log_denom = log_rising_factorial(theta + n + m, m_prime)
+    log_terms = []
+    signs = []
+    for s in range(r + 1):
+        signs.append(1.0 if s % 2 == 0 else -1.0)
+        log_terms.append(
+            log_binomial(r, s)
+            + math.lgamma(s + 1)
+            + log_binomial(y, s)
+            + math.lgamma(y - s + 1)
+            - math.lgamma(y - r + 1)
+            + log_rising_factorial(theta + n + m - s * (1 + l), m_prime)
+            - log_denom
+        )
+    total, _, _ = signed_log_sum(log_terms, signs)
+    return total.value
+
+
+@dataclass(frozen=True)
+class BlockState:
+    """Spectrum of surviving blocks: spectrum[l-1] blocks carry l units."""
+
+    spectrum: tuple[int, ...]
+
+    def __post_init__(self):
+        spectrum = tuple(int(c) for c in self.spectrum)
+        if any(c < 0 for c in spectrum):
+            raise ValueError("spectrum entries must be nonnegative")
+        # canonical form; the absorbed state is the empty tuple
+        while spectrum and spectrum[-1] == 0:
+            spectrum = spectrum[:-1]
+        object.__setattr__(self, "spectrum", spectrum)
+
+    @classmethod
+    def from_partition(cls, partition: AllelicPartition) -> "BlockState":
+        return cls(partition.spectrum)
+
+    @property
+    def x(self) -> int:
+        """Surviving ancestral weight: total units over all blocks."""
+        return sum((l + 1) * c for l, c in enumerate(self.spectrum))
+
+    @property
+    def block_count(self) -> int:
+        return sum(self.spectrum)
+
+    @property
+    def singletons(self) -> int:
+        return self.spectrum[0] if self.spectrum else 0
+
+
+def step_block_process(
+    state: BlockState, theta: float, rng: np.random.Generator
+) -> tuple[float, BlockState]:
+    """One deletion event: waiting time and the state after it.
+
+    Draws the exponential holding time at rate x(x+theta-1)/2, then
+    removes one unit chosen uniformly among the x survivors (a block of
+    size l loses a unit with probability l * spectrum[l-1] / x).
+    """
+    x = state.x
+    if x == 0:
+        raise ValueError("the process is absorbed; no further steps")
+    rate = x * (x + theta - 1) / 2.0
+    holding = rng.exponential(1.0 / rate)
+    u = rng.random() * x
+    spectrum = list(state.spectrum)
+    for l0, c in enumerate(spectrum):
+        u -= (l0 + 1) * c
+        if u < 0:
+            spectrum[l0] -= 1
+            if l0 > 0:
+                spectrum[l0 - 1] += 1
+            return holding, BlockState(tuple(spectrum))
+    # float rounding put u at the total; charge the largest occupied block
+    l0 = max(i for i, c in enumerate(spectrum) if c > 0)
+    spectrum[l0] -= 1
+    if l0 > 0:
+        spectrum[l0 - 1] += 1
+    return holding, BlockState(tuple(spectrum))
+
+
+def simulate_death_process(start_n: int, theta: float, t_horizon: float, seed) -> int:
+    """Level of the pure death process (rates n(n-1+theta)/2) at the horizon."""
+    if start_n < 0:
+        raise ValueError(f"start_n must be nonnegative, got {start_n}")
+    if not (theta > 0):
+        raise ValueError(f"theta must be positive, got {theta}")
+    if not (t_horizon >= 0):
+        raise ValueError(f"t_horizon must be nonnegative, got {t_horizon}")
+    if start_n == 0:
+        return 0
+    rng = np.random.default_rng(seed)
+    levels = np.arange(start_n, 0, -1, dtype=float)
+    rates = levels * (levels - 1 + theta) / 2.0
+    waits = rng.exponential(1.0, size=start_n) / rates
+    passed = int(np.searchsorted(np.cumsum(waits), t_horizon, side="right"))
+    return start_n - passed

@@ -239,3 +239,10 @@ class TestSingletonLineagePmf:
     def test_zero_time_rejected(self):
         with pytest.raises(ValueError):
             singleton_lineage_pmf(4, ModelParams(1.0, 0.0))
+
+    @pytest.mark.parametrize("m", [1, 6, 20, 30])
+    def test_closed_route_matches_mixture(self, m):
+        for theta, t in ((0.5, 1.0), (1.5, 0.4), (9.5, 0.34)):
+            params = ModelParams(theta, t)
+            closed = singleton_lineage_pmf(m, params, method="closed")
+            assert closed.tv_distance(singleton_lineage_pmf(m, params)) <= 1e-8

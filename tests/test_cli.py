@@ -6,6 +6,10 @@ parsing, exit codes, and the emitted bytes without subprocess overhead.
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -315,6 +319,15 @@ class TestSimulate:
         )
         assert code == 2
 
+    def test_non_integer_thread_variable_is_usage_error(self, capsys, monkeypatch):
+        monkeypatch.setenv("COALESCENT_THREADS", "two")
+        code, out, err = run_cli(
+            capsys, "simulate", "singh1976", "--theta", "9.5", "--t", "0.34",
+            "--replicates", "10",
+        )
+        assert code == 2
+        assert "COALESCENT_THREADS" in err
+
     def test_theta_and_fit_mutually_exclusive(self, capsys):
         with pytest.raises(SystemExit) as exc_info:
             main(["simulate", "singh1976", "--theta", "9.5", "--fit", "--t", "0.34"])
@@ -380,3 +393,15 @@ class TestDiscover:
                             assert 0.0 <= value <= 1.0
                             points += 1
         assert points >= 100
+
+
+def test_cli_import_leaves_scipy_out():
+    src = Path(__file__).resolve().parents[1] / "src"
+    probe = "import sys, coalineage.cli; print('scipy' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=str(src)),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

@@ -12,7 +12,7 @@ from coalineage.enumeration import (
     urn_forward_atom_counts,
     urn_forward_sample,
 )
-from coalineage.numerics import signless_stirling1
+from reference import signless_stirling1
 
 
 class TestEnumerateSequences:

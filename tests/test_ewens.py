@@ -14,7 +14,7 @@ from coalineage.ewens import (
     hoppe_sample,
     theta_mle,
 )
-from coalineage.numerics import signless_stirling1
+from reference import signless_stirling1
 
 SINGH_SPECTRUM = {1: 10, 2: 3, 3: 7, 5: 2, 6: 2, 8: 1, 11: 1, 68: 1}
 

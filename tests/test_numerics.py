@@ -6,16 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from coalineage.errors import NumericalConditioningError
 from coalineage.numerics import (
     SignedLogValue,
-    compensated_signed_sum,
     log_binomial,
-    log_falling_factorial,
     log_rising_factorial,
+    reliable_value,
     signed_log_sum,
-    signless_stirling1,
-    stirling2,
 )
+from reference import log_falling_factorial, signless_stirling1, stirling2
 
 
 def exact_rising(x: Fraction, n: int) -> Fraction:
@@ -105,83 +104,10 @@ class TestSignedLogValue:
         assert (a * SignedLogValue(0, -math.inf)).sign == 0
 
 
-def alternating_exp_terms(x: float):
-    # exp(-x) = sum (-1)^k x^k / k!
-    k = 0
-    while True:
-        sign = 1 if k % 2 == 0 else -1
-        yield SignedLogValue(sign, k * math.log(x) - math.lgamma(k + 1))
-        k += 1
-
-
-class TestCompensatedSignedSum:
-    def test_pair_sums_to_two(self):
-        r = compensated_signed_sum([SignedLogValue(1, 0.0), SignedLogValue(1, 0.0)])
-        assert r.value == 2.0
-        assert r.converged
-        assert r.terms_used == 2
-
-    def test_exact_cancellation_reports_zero_ratio(self):
-        r = compensated_signed_sum([SignedLogValue(1, 0.0), SignedLogValue(-1, 0.0)])
-        assert r.value == 0.0
-        assert r.cancellation_ratio == 0.0
-        assert r.converged
-
-    def test_empty_sum(self):
-        r = compensated_signed_sum([])
-        assert r.value == 0.0
-        assert r.cancellation_ratio == 1.0
-        assert r.converged
-
-    def test_mild_alternating_series_accurate(self):
-        for x in [0.5, 1.0, 5.0]:
-            r = compensated_signed_sum(alternating_exp_terms(x))
-            assert r.converged
-            np.testing.assert_allclose(r.value, math.exp(-x), rtol=1e-10)
-            assert r.cancellation_ratio > 1e-8
-
-    def test_catastrophic_cancellation_flagged(self):
-        # terms near 20^20/20! ~ 4e7 against a true sum of 2e-9: every
-        # surviving digit is noise, and the diagnostic must say so
-        r = compensated_signed_sum(alternating_exp_terms(20.0))
-        assert r.cancellation_ratio < 1e-8
-
-    def test_term_budget_marks_not_converged(self):
-        def slow_terms():
-            k = 1
-            while True:
-                yield SignedLogValue(1, -math.log(k))  # harmonic, divergent
-                k += 1
-
-        r = compensated_signed_sum(slow_terms(), max_terms=50)
-        assert not r.converged
-        assert r.terms_used == 50
-
-    def test_peak_guard_survives_rising_terms(self):
-        # magnitudes rise for 30 terms before decaying; an unguarded
-        # two-small-terms rule would stop at the start
-        def humped():
-            for k in range(200):
-                yield SignedLogValue(1, -abs(k - 30.0))
-
-        r = compensated_signed_sum(humped())
-        expected = math.fsum(math.exp(-abs(k - 30.0)) for k in range(200))
-        np.testing.assert_allclose(r.value, expected, rtol=1e-9)
-
-    @given(
-        st.lists(
-            st.floats(min_value=1e-5, max_value=1e5),
-            min_size=1,
-            max_size=40,
-        )
-    )
-    @settings(max_examples=200)
-    def test_same_sign_sums_match_fsum(self, values):
-        terms = [SignedLogValue.from_value(v) for v in values]
-        r = compensated_signed_sum(terms)
-        np.testing.assert_allclose(r.value, math.fsum(values), rtol=1e-12)
-        assert r.converged
-        assert r.cancellation_ratio >= 1.0 - 1e-12
+def alternating_exp_terms(x: float, count: int):
+    # exp(-x) = sum (-1)^k x^k / k!, first count terms
+    k = np.arange(count)
+    return k * math.log(x) - np.array([math.lgamma(j + 1) for j in k]), (-1.0) ** k
 
 
 class TestSignedLogSum:
@@ -207,6 +133,45 @@ class TestSignedLogSum:
         assert slv.sign == 0
         assert ratio == 0.0
         assert log_peak == 0.0
+
+    def test_mild_alternating_series_accurate(self):
+        for x in [0.5, 1.0, 5.0]:
+            slv, ratio, _ = signed_log_sum(*alternating_exp_terms(x, 60))
+            np.testing.assert_allclose(slv.value, math.exp(-x), rtol=1e-10)
+            assert ratio > 1e-8
+
+    def test_catastrophic_cancellation_flagged(self):
+        # terms near 20^20/20! ~ 4e7 against a true sum of 2e-9: every
+        # surviving digit is noise, and the diagnostic must say so
+        _, ratio, _ = signed_log_sum(*alternating_exp_terms(20.0, 120))
+        assert ratio < 1e-8
+
+    @given(
+        st.lists(
+            st.floats(min_value=1e-5, max_value=1e5),
+            min_size=1,
+            max_size=40,
+        )
+    )
+    @settings(max_examples=200)
+    def test_same_sign_sums_match_fsum(self, values):
+        slv, ratio, _ = signed_log_sum(np.log(values), np.ones(len(values)))
+        np.testing.assert_allclose(slv.value, math.fsum(values), rtol=1e-12)
+        assert ratio >= 1.0 - 1e-12
+
+
+class TestReliableValue:
+    def test_noise_and_clipping_gates(self):
+        benign = signed_log_sum(np.array([0.0, math.log(0.5)]), np.array([1.0, -1.0]))
+        assert reliable_value(benign, "sum", "remedy") == 0.5
+        # a peak term of e^20 leaves rounding noise near e^(20 - 34.5) ~ 5e-7
+        noisy = signed_log_sum(np.array([20.0, 20.0]), np.array([1.0, -1.0]))
+        with pytest.raises(NumericalConditioningError, match="lost all significant digits"):
+            reliable_value(noisy, "sum", "remedy")
+        # negatives within the clipping floor become zero, larger ones are refused
+        assert reliable_value((SignedLogValue.from_value(-1e-12), 1.0, 0.0), "sum", "r") == 0.0
+        with pytest.raises(NumericalConditioningError, match="negative"):
+            reliable_value((SignedLogValue.from_value(-1e-6), 1.0, 0.0), "sum", "r")
 
 
 def brute_set_partitions(n: int) -> list[list[list[int]]]:

@@ -18,14 +18,13 @@ from coalineage.posterior import (
     PredictiveQuery,
     cond_r_freq_pmf,
     cond_r_pmf,
-    factorial_moment_r,
-    factorial_moment_r_freq,
     gt_new_lineage_prob,
     gt_singleton_prob,
     n_posterior,
     predictive_lineage_pmf,
     predictive_singleton_pmf,
 )
+from reference import factorial_moment_r, factorial_moment_r_freq
 
 PARAMS = ModelParams(1.0, 0.5)
 

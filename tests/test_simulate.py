@@ -8,14 +8,12 @@ from scipy.stats import chisquare
 from coalineage.ancestral import ModelParams, lineage_pmf, singleton_lineage_pmf
 from coalineage.ewens import AllelicPartition
 from coalineage.simulate import (
-    BlockState,
     ReplicateSummary,
     default_threads,
     run_replicates,
     simulate_block_process,
-    simulate_death_process,
-    step_block_process,
 )
+from reference import BlockState, simulate_death_process, step_block_process
 
 SMALL = AllelicPartition.from_dict({1: 2, 2: 1})  # classes of size 1, 1, 2
 
