@@ -25,6 +25,7 @@ from .numerics import (
     log_gamma_table,
     reliable_value,
     signed_log_sum,
+    signed_log_sums,
 )
 from .pmf import Pmf
 
@@ -300,38 +301,35 @@ def r_pmf(n: int, m: int, theta: float) -> Pmf:
     if not (theta > 0):
         raise ValueError(f"theta must be positive, got {theta}")
     hi = min(n, m)
-    xs = np.arange(hi + 1)
-    log_fact = log_gamma_table(1.0, max(n, m) + 1)
-    log_gamma = log_gamma_table(theta, n + m + 1)
+    # lgamma only where it is read: k!, (n-k)!, (m-k)! and Gamma(theta+k), k = 0..hi
+    log_fact = log_gamma_table(1.0, hi + 1)
+    log_fact_n = log_gamma_table(n - hi + 1.0, hi + 1)[::-1]
+    log_fact_m = log_gamma_table(m - hi + 1.0, hi + 1)[::-1]
+    log_gamma = log_gamma_table(theta, hi + 1)
     # x! C(n,x) C(m,x) (theta+x)_(m-x) / (theta+n)_m
     log_probs = (
-        log_fact[n] - log_fact[n - xs]
-        + log_fact[m] - log_fact[xs] - log_fact[m - xs]
-        + log_gamma[m] - log_gamma[xs]
-        - (log_gamma[n + m] - log_gamma[n])
+        math.lgamma(n + 1.0) - log_fact_n
+        + math.lgamma(m + 1.0) - log_fact - log_fact_m
+        + math.lgamma(theta + m) - log_gamma
+        - (math.lgamma(theta + (n + m)) - math.lgamma(theta + n))
     )
     return Pmf.from_floats(
         np.exp(log_probs), 0, renormalize=True, context="re-observed type count"
     )
 
 
-@lru_cache(maxsize=256)
-def r_freq_pmf(l: int, n: int, m: int, theta: float) -> Pmf:
-    """Old types observed exactly l times: n seed types, m draws.
+def _freq_row_pmf(
+    l: int, n: int, m: int, log_fact: np.ndarray, log_gamma: np.ndarray
+) -> Pmf:
+    """r_freq_pmf(l, n, m, theta) from tables log_fact[k] = log k! and
+    log_gamma[k] = lgamma(theta + k), covering k <= max(n, m) and k <= n + m.
 
-    Alternating sum over how many of the n types are forced to frequency
-    l; runs through the signed accumulator with the usual gates.
+    Entry x sums over i = x..min(n, m // l) with sign (-1)^(i-x); all
+    entries come from one (x, i) block, padded with -inf below i = x, and
+    one signed_log_sums call, then pass the usual gates.
     """
-    if l < 1:
-        raise ValueError(f"l must be >= 1, got {l}")
-    if n < 0 or m < 0:
-        raise ValueError("n and m must be nonnegative")
-    if not (theta > 0):
-        raise ValueError(f"theta must be positive, got {theta}")
     hi = min(n, m // l)
     i = np.arange(hi + 1)
-    log_fact = log_gamma_table(1.0, max(n, m) + 1)
-    log_gamma = log_gamma_table(theta, n + m + 1)
     # m! C(n,i) (theta+n-i)_(m-il) / ((m-il)! (theta+n)_m), before the C(i,x) of each entry
     log_parts = (
         log_fact[m]
@@ -340,30 +338,55 @@ def r_freq_pmf(l: int, n: int, m: int, theta: float) -> Pmf:
         - log_fact[m - i * l]
         - (log_gamma[n + m] - log_gamma[n])
     )
-    entries = []
-    for x in range(hi + 1):
-        log_terms = log_parts[x:] + log_fact[i[x:]] - log_fact[x] - log_fact[i[x:] - x]
-        signs = np.where((i[x:] - x) % 2 == 0, 1.0, -1.0)
-        entries.append(signed_log_sum(log_terms, signs))
-    return Pmf.from_signed_sums(entries, 0, context="frequency-level type count")
+    gap = i[None, :] - i[:, None]  # i - x
+    log_terms = np.where(
+        gap >= 0,
+        (log_parts + log_fact[i])[None, :] - log_fact[i][:, None] - log_fact[np.abs(gap)],
+        -math.inf,
+    )
+    signs = np.where(gap % 2 == 0, 1.0, -1.0)
+    return Pmf.from_signed_sums(
+        signed_log_sums(log_terms, signs), 0, context="frequency-level type count"
+    )
+
+
+@lru_cache(maxsize=256)
+def r_freq_pmf(l: int, n: int, m: int, theta: float) -> Pmf:
+    """Old types observed exactly l times: n seed types, m draws.
+
+    Alternating sum over how many of the n types are forced to frequency
+    l; each entry runs through signed_log_sums with the usual gates.
+    """
+    if l < 1:
+        raise ValueError(f"l must be >= 1, got {l}")
+    if n < 0 or m < 0:
+        raise ValueError("n and m must be nonnegative")
+    if not (theta > 0):
+        raise ValueError(f"theta must be positive, got {theta}")
+    return _freq_row_pmf(
+        l, n, m, log_gamma_table(1.0, max(n, m) + 1), log_gamma_table(theta, n + m + 1)
+    )
 
 
 def _singleton_closed_entries(
     m: int, xs, params: ModelParams, i_hi: int, extra_log: np.ndarray
-) -> list:
-    """signed_log_sum results of the direct singleton representation, one per x in xs.
+) -> list[list]:
+    """signed_log_sums results of the direct singleton representation.
 
-    Entry x sums, over j = max(x,1)..m, i = j..i_hi and n = j..i,
+    extra_log is a stack of rows, each indexed by n = 0..i_hi, and the
+    result holds, for each x in xs, one sum per row.  Entry x of row r
+    sums, over j = max(x,1)..m, i = j..i_hi and n = j..i,
     (-1)^(j-x+i+n) C(j,x) C(m,j) (2i-1+theta) e^(-t i(i-1+theta)/2)
     (theta+n-j)_(m-j) Gamma(theta+n+i-1) / ((n-j)! (i-n)! Gamma(theta+n+m))
-    times e^extra_log[n], plus e^extra_log[0] at x = 0 (the j = i = n = 0
-    corner).  It comes from expanding the line-count series inside the
-    singleton mixture and swapping the order of summation.  With
-    extra_log = 0 and i_hi = m it is the singleton law, exact there
+    times e^extra_log[r, n], plus e^extra_log[r, 0] at x = 0 (the
+    j = i = n = 0 corner).  It comes from expanding the line-count series
+    inside the singleton mixture and swapping the order of summation.
+    With extra_log = 0 and i_hi = m it is the singleton law, exact there
     because higher coefficients are mth-order differences of
     lower-degree polynomials; a route whose extra factor keeps more
     difference orders alive passes a larger i_hi.  extra_log must be
-    finite at every n >= min(xs).  Valid for every theta > 0.
+    finite at every n >= min(xs).  Valid for every theta > 0.  The (i, n)
+    block of each j is built once and shared by every x and every row.
     """
     theta, t = params.theta, params.t
     log_fact = log_gamma_table(1.0, i_hi + 1)
@@ -381,20 +404,24 @@ def _singleton_closed_entries(
             - log_fact[n - j] - log_fact[i - n]
             + log_gamma[n + m - 2 * j] - log_gamma[n - j]
             + log_gamma[n + i - 1] - log_gamma[n + m]
-            + extra_log[n]
             + log_fact[m] - log_fact[j] - log_fact[m - j]
         )
-        blocks[j] = (log_terms, np.where((i + n + j) % 2 == 0, 1.0, -1.0))
+        blocks[j] = (log_terms, n, np.where((i + n + j) % 2 == 0, 1.0, -1.0))
     entries = []
     for x in xs:
         js = range(max(x, 1), m + 1)
         flip = 1.0 if x % 2 == 0 else -1.0
         log_terms = [blocks[j][0] + (log_fact[j] - log_fact[x] - log_fact[j - x]) for j in js]
-        signs = [flip * blocks[j][1] for j in js]
+        ns = [blocks[j][1] for j in js]
+        signs = [flip * blocks[j][2] for j in js]
         if x == 0:
-            log_terms.append([extra_log[0]])
+            log_terms.append([0.0])
+            ns.append([0])
             signs.append([1.0])
-        entries.append(signed_log_sum(np.concatenate(log_terms), np.concatenate(signs)))
+        ns = np.concatenate(ns)
+        entries.append(
+            signed_log_sums(np.concatenate(log_terms) + extra_log[:, ns], np.concatenate(signs))
+        )
     return entries
 
 
@@ -416,14 +443,20 @@ def singleton_lineage_pmf(m: int, params: ModelParams, method: str = "mixture") 
     if params.t == 0.0:
         raise ValueError("the ancestral line count starts at infinity; t must be > 0")
     if method == "closed":
-        entries = _singleton_closed_entries(m, range(m + 1), params, m, np.zeros(m + 1))
-        return Pmf.from_signed_sums(entries, 0, context="singleton ancestor count")
+        sums = _singleton_closed_entries(m, range(m + 1), params, m, np.zeros((1, m + 1)))
+        return Pmf.from_signed_sums(
+            [row[0] for row in sums], 0, context="singleton ancestor count"
+        )
     weights = _ancestral_values(params, None)
+    top = len(weights) - 1
+    # one table pair serves every row n = 0..top
+    log_fact = log_gamma_table(1.0, max(top, m) + 1)
+    log_gamma = log_gamma_table(params.theta, top + m + 1)
     probs = np.zeros(m + 1)
     for n, w in enumerate(weights):
         if w == 0.0:
             continue
-        inner = r_freq_pmf(1, n, m, params.theta)
+        inner = _freq_row_pmf(1, n, m, log_fact, log_gamma)
         probs[: len(inner.probs)] += w * inner.probs
     return Pmf.from_floats(
         probs, 0, renormalize=True, context="singleton ancestor count"

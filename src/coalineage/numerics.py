@@ -2,9 +2,11 @@
 
 Every distribution in this package is an alternating sum whose terms can
 dwarf the result, so all term arithmetic happens in log space with explicit
-signs.  Each sum runs through signed_log_sum, which reports how much
-cancellation occurred, and reliable_value turns it into a number only when
-the surviving digits are more than rounding noise; otherwise callers see a
+signs.  Every sum runs through signed_log_sums, which sums each row of a
+padded (rows x terms) array with one peak shift and one exact math.fsum
+per row and reports how much cancellation occurred; signed_log_sum is its
+one-row case.  reliable_value turns a sum into a number only when the
+surviving digits are more than rounding noise; otherwise callers see a
 NumericalConditioningError.  Log-gamma values come from math.lgamma, in
 per-call tables where a kernel needs many of them.
 """
@@ -24,6 +26,7 @@ __all__ = [
     "log_rising_factorial",
     "log_binomial",
     "signed_log_sum",
+    "signed_log_sums",
     "reliable_value",
 ]
 
@@ -116,30 +119,45 @@ def log_binomial(n: int, k: int) -> float:
     return math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
 
 
-def signed_log_sum(
+def signed_log_sums(
     log_terms: np.ndarray, signs: np.ndarray
-) -> tuple[SignedLogValue, float, float]:
-    """Sum of sign * exp(log_term) over a finite set of terms.
+) -> list[tuple[SignedLogValue, float, float]]:
+    """Row sums of sign * exp(log_term) over a (rows x terms) array.
 
-    Returns (total, cancellation_ratio, log of the peak term magnitude).
-    The ratio is |total| over the peak term: near 1 for benign sums, tiny
-    when the digits that survive are rounding error.  The scaled
-    mantissas are combined with math.fsum, which is exact, so the result
+    Rows of different lengths are padded with log term -inf, which
+    contributes nothing.  Each row gives (total, cancellation_ratio, log
+    of the peak term magnitude).  The ratio is |total| over the peak
+    term: near 1 for benign sums, tiny when the digits that survive are
+    rounding error.  Each row is shifted by its own peak and its scaled
+    mantissas are combined with math.fsum, which is exact, so a total
     differs from the true sum of the rounded terms only by the final
     rounding.
     """
     log_terms = np.asarray(log_terms, dtype=float)
-    signs = np.asarray(signs, dtype=float)
-    live = log_terms > -math.inf
-    if not np.any(live):
-        return SignedLogValue(0, -math.inf), 1.0, -math.inf
-    m = float(np.max(log_terms[live]))
-    scaled = signs[live] * np.exp(log_terms[live] - m)
-    total = math.fsum(scaled.tolist())
-    ratio = abs(total)  # largest scaled magnitude is 1 by construction
-    if total == 0.0:
-        return SignedLogValue(0, -math.inf), ratio, m
-    return SignedLogValue(1 if total > 0 else -1, math.log(abs(total)) + m), ratio, m
+    peaks = np.max(log_terms, axis=1, initial=-math.inf)
+    shift = np.where(peaks > -math.inf, peaks, 0.0)
+    scaled = np.asarray(signs, dtype=float) * np.exp(log_terms - shift[:, None])
+    sums = []
+    for row, m in zip(scaled, peaks.tolist()):
+        if m == -math.inf:
+            sums.append((SignedLogValue(0, -math.inf), 1.0, -math.inf))
+            continue
+        total = math.fsum(row.tolist())
+        ratio = abs(total)  # largest scaled magnitude is 1 by construction
+        if total == 0.0:
+            sums.append((SignedLogValue(0, -math.inf), ratio, m))
+        else:
+            sums.append(
+                (SignedLogValue(1 if total > 0 else -1, math.log(abs(total)) + m), ratio, m)
+            )
+    return sums
+
+
+def signed_log_sum(
+    log_terms: np.ndarray, signs: np.ndarray
+) -> tuple[SignedLogValue, float, float]:
+    """signed_log_sums of a single row of terms."""
+    return signed_log_sums(np.atleast_2d(log_terms), np.atleast_2d(signs))[0]
 
 
 def reliable_value(

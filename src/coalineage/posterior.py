@@ -244,12 +244,15 @@ def predictive_lineage_pmf(query: PredictiveQuery, method: str = "mixture") -> P
     return Pmf.from_floats(probs, support_offset=y, context="enlarged line count")
 
 
-def _closed_singleton_value(
+def _closed_singleton_values(
     m: int, y: int, params: ModelParams, i_hi: int, extra_log: np.ndarray
-) -> float:
-    """One gated entry x = y of the closed singleton kernel (see ancestral)."""
-    entry = _singleton_closed_entries(m, [y], params, i_hi, extra_log)[0]
-    return reliable_value(entry, "closed singleton series", "use the mixture route")
+) -> np.ndarray:
+    """Gated entries x = y of the closed singleton kernel (see ancestral),
+    one per row of the extra_log stack."""
+    return np.array([
+        reliable_value(entry, "closed singleton series", "use the mixture route")
+        for entry in _singleton_closed_entries(m, [y], params, i_hi, extra_log)[0]
+    ])
 
 
 def predictive_singleton_pmf(query: PredictiveQuery, method: str = "mixture") -> Pmf:
@@ -283,16 +286,15 @@ def predictive_singleton_pmf(query: PredictiveQuery, method: str = "mixture") ->
     i_hi = m + m_prime
     log_gamma = log_gamma_table(theta, 2 * i_hi + 1)
     n = np.arange(y, i_hi + 1)
-    inner = np.zeros(y + 1)
-    for k in range(y + 1):
-        # log (theta+n+m-2k)_m' / (theta+n+m)_m': k given singleton lines
-        # escape all m' draws
-        extra_log = np.zeros(i_hi + 1)
-        extra_log[y:] = (
-            log_gamma[n + m - 2 * k + m_prime] - log_gamma[n + m - 2 * k]
-            - (log_gamma[n + m + m_prime] - log_gamma[n + m])
-        )
-        inner[k] = _closed_singleton_value(m, y, params, i_hi, extra_log)
+    k = np.arange(y + 1)[:, None]
+    # row k: log (theta+n+m-2k)_m' / (theta+n+m)_m', the chance that k
+    # given singleton lines escape all m' draws
+    extra_log = np.zeros((y + 1, i_hi + 1))
+    extra_log[:, y:] = (
+        log_gamma[n + m - 2 * k + m_prime] - log_gamma[n + m - 2 * k]
+        - (log_gamma[n + m + m_prime] - log_gamma[n + m])
+    )
+    inner = _closed_singleton_values(m, y, params, i_hi, extra_log)
     probs = np.zeros(min(y, m_prime) + 1)
     for x in range(len(probs)):
         sign_x = 1.0 if x % 2 == 0 else -1.0
@@ -344,5 +346,5 @@ def gt_singleton_prob(m: int, y: int, params: ModelParams, method: str = "mixtur
         singleton_lineage_pmf(m, params).prob(y), f"P[singleton count = {y}]"
     )
     extra_log = -np.log(theta + np.arange(m + 2) + m)
-    total = _closed_singleton_value(m, y, params, m + 1, extra_log)
+    total = _closed_singleton_values(m, y, params, m + 1, extra_log[None, :])[0]
     return 2.0 * y * total / marginal

@@ -12,7 +12,6 @@ so results do not depend on how replicates are chunked across workers.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -132,6 +131,9 @@ def run_replicates(
         # numpy imports numpy.random on first use; do it here, once, rather
         # than in every forked worker on every call
         import numpy.random  # noqa: F401
+        # imported here so that importing the package does not load
+        # multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
 
         rows = []
         with ProcessPoolExecutor(max_workers=threads) as pool:

@@ -1,9 +1,10 @@
 """Reference implementations that only the tests use.
 
 Exact combinatorial counts, falling factorials and factorial moments give
-independent checks on the analytic laws; the event-by-event block-process
-step and the death-process sampler are the oracles the production
-simulator is compared against.
+independent checks on the analytic laws; the entry-by-entry frequency-level
+urn law is the reference for the production row kernel; the event-by-event
+block-process step and the death-process sampler are the oracles the
+production simulator is compared against.
 """
 
 from __future__ import annotations
@@ -18,9 +19,11 @@ from coalineage.ewens import AllelicPartition
 from coalineage.numerics import (
     SignedLogValue,
     log_binomial,
+    log_gamma_table,
     log_rising_factorial,
     signed_log_sum,
 )
+from coalineage.pmf import Pmf
 from coalineage.posterior import _validate_conditional_args
 
 
@@ -151,6 +154,33 @@ def factorial_moment_r_freq(
         )
     total, _, _ = signed_log_sum(log_terms, signs)
     return total.value
+
+
+def r_freq_pmf_by_entry(l: int, n: int, m: int, theta: float) -> Pmf:
+    """Old types observed exactly l times, one signed_log_sum per entry x.
+
+    The same alternating sum over i = x..min(n, m // l) as
+    ancestral.r_freq_pmf, with full log-gamma tables and a Python loop
+    over the entries.
+    """
+    hi = min(n, m // l)
+    i = np.arange(hi + 1)
+    log_fact = log_gamma_table(1.0, max(n, m) + 1)
+    log_gamma = log_gamma_table(theta, n + m + 1)
+    # m! C(n,i) (theta+n-i)_(m-il) / ((m-il)! (theta+n)_m), before the C(i,x) of each entry
+    log_parts = (
+        log_fact[m]
+        + log_fact[n] - log_fact[i] - log_fact[n - i]
+        + log_gamma[n - i + m - i * l] - log_gamma[n - i]
+        - log_fact[m - i * l]
+        - (log_gamma[n + m] - log_gamma[n])
+    )
+    entries = []
+    for x in range(hi + 1):
+        log_terms = log_parts[x:] + log_fact[i[x:]] - log_fact[x] - log_fact[i[x:] - x]
+        signs = np.where((i[x:] - x) % 2 == 0, 1.0, -1.0)
+        entries.append(signed_log_sum(log_terms, signs))
+    return Pmf.from_signed_sums(entries, 0, context="frequency-level type count")
 
 
 @dataclass(frozen=True)

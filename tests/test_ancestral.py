@@ -19,6 +19,8 @@ from coalineage.ancestral import (
 from coalineage.enumeration import enumerate_sequences, oracle_pmf_exact
 from coalineage.errors import NumericalConditioningError
 
+from reference import r_freq_pmf_by_entry
+
 # Reference values below come from an independent high-precision
 # evaluation of the same series (40+ digits), frozen here as floats.
 
@@ -202,6 +204,17 @@ class TestSeedTypeLaws:
                             )
         assert worst < 1e-13
 
+    @pytest.mark.parametrize("l", [1, 2, 3])
+    @pytest.mark.parametrize("m", [146, 1000])
+    def test_r_freq_matches_entry_by_entry_reference(self, l, m):
+        for n in (0, 1, 7, 50):
+            for theta in (0.5, 9.5, 20.0):
+                np.testing.assert_allclose(
+                    r_freq_pmf(l, n, m, theta).probs,
+                    r_freq_pmf_by_entry(l, n, m, theta).probs,
+                    rtol=1e-12, atol=0.0,
+                )
+
     def test_domain_checks(self):
         with pytest.raises(ValueError):
             r_pmf(-1, 3, 1.0)
@@ -212,10 +225,11 @@ class TestSeedTypeLaws:
 
 
 class TestSingletonLineagePmf:
-    def test_mixture_consistency(self):
+    @pytest.mark.parametrize("m", [6, 146, 1000])
+    def test_mixture_consistency(self, m):
         # must equal the frequency-level mixture it is defined as, and
         # integrate to one
-        m, params = 6, ModelParams(1.5, 0.4)
+        params = ModelParams(1.5, 0.4)
         pmf = singleton_lineage_pmf(m, params)
         np.testing.assert_allclose(pmf.probs.sum(), 1.0, rtol=1e-12)
         anc = ancestral_pmf(None, params)

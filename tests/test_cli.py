@@ -395,13 +395,23 @@ class TestDiscover:
         assert points >= 100
 
 
-def test_cli_import_leaves_scipy_out():
+def _loaded_after_cli_import(modules: tuple[str, ...]) -> list[str]:
+    """Which of modules a fresh interpreter holds after importing coalineage.cli."""
     src = Path(__file__).resolve().parents[1] / "src"
-    probe = "import sys, coalineage.cli; print('scipy' in sys.modules)"
+    probe = f"import sys, coalineage.cli; print(*[m for m in {modules!r} if m in sys.modules])"
     proc = subprocess.run(
         [sys.executable, "-c", probe],
         capture_output=True, text=True, timeout=120,
         env=dict(os.environ, PYTHONPATH=str(src)),
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    return proc.stdout.split()
+
+
+def test_cli_import_leaves_scipy_out():
+    assert _loaded_after_cli_import(("scipy",)) == []
+
+
+def test_cli_import_leaves_process_pool_out():
+    # the simulator imports its pool only when it runs one
+    assert _loaded_after_cli_import(("multiprocessing", "concurrent.futures.process")) == []

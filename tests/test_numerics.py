@@ -13,6 +13,7 @@ from coalineage.numerics import (
     log_rising_factorial,
     reliable_value,
     signed_log_sum,
+    signed_log_sums,
 )
 from reference import log_falling_factorial, signless_stirling1, stirling2
 
@@ -158,6 +159,22 @@ class TestSignedLogSum:
         slv, ratio, _ = signed_log_sum(np.log(values), np.ones(len(values)))
         np.testing.assert_allclose(slv.value, math.fsum(values), rtol=1e-12)
         assert ratio >= 1.0 - 1e-12
+
+
+class TestSignedLogSums:
+    def test_padded_rows_match_single_row_sums(self):
+        rng = np.random.default_rng(7)
+        rows = [rng.normal(size=k) * 10.0 ** rng.integers(-3, 3, size=k) for k in (1, 4, 9)]
+        log_terms = np.full((len(rows) + 1, 9), -math.inf)
+        signs = np.ones((len(rows) + 1, 9))
+        for r, vals in enumerate(rows):
+            log_terms[r, : len(vals)] = np.log(np.abs(vals))
+            signs[r, : len(vals)] = np.sign(vals)
+        sums = signed_log_sums(log_terms, signs)
+        for r, vals in enumerate(rows):
+            assert sums[r] == signed_log_sum(np.log(np.abs(vals)), np.sign(vals))
+        # an all-padding row is an empty sum
+        assert sums[-1] == (SignedLogValue(0, -math.inf), 1.0, -math.inf)
 
 
 class TestReliableValue:
