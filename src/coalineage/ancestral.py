@@ -14,19 +14,14 @@ cancellation eats the result.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .errors import NumericalConditioningError
-from .numerics import (
-    SignedLogValue,
-    log_gamma_table,
-    reliable_value,
-    signed_log_sum,
-    signed_log_sums,
-)
+from .numerics import SignedLogValue, log_gamma_table, reliable_values, signed_log_sums
 from .pmf import Pmf
 
 __all__ = [
@@ -47,6 +42,9 @@ TAIL_ENTRY = 1e-14
 MAX_ANCESTRAL_N = 5000
 # line-count series terms past _last_index lie below exp(-TAIL_LOG)
 TAIL_LOG = 80.0
+# floats per (x, i) block of the line-count series; longer series are
+# summed in row chunks, so transient memory stays bounded
+BLOCK_TERMS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -61,6 +59,9 @@ class ModelParams:
             raise ValueError(f"theta must be positive, got {self.theta}")
         if not (self.t >= 0.0):
             raise ValueError(f"t must be nonnegative, got {self.t}")
+        for name, value in (("theta", self.theta), ("t", self.t)):
+            if math.isinf(value):
+                raise ValueError(f"{name} must be finite, got {value}")
 
 
 def death_rate(n: int, theta: float) -> float:
@@ -87,52 +88,60 @@ def _last_index(params: ModelParams) -> int:
     (1+theta) 2^(4i+theta) exp(-t i(i-1+theta)/2): the sample weight
     C(m,i)/(theta+m)_i never exceeds the population's 1/i!.  Past the
     larger root of that bound's log = -TAIL_LOG the bound falls
-    geometrically, so the omitted tail is of order exp(-TAIL_LOG).
+    geometrically, so the omitted tail is of order exp(-TAIL_LOG).  The
+    quadratic is divided through by t, so no product with t can
+    overflow, and each branch of the root avoids cancellation.  A root
+    that still overflows (t near the smallest float) asks for more terms
+    than any caller can sum.
     """
     theta, t = params.theta, params.t
-    b = 4.0 * math.log(2.0) - t * (theta - 1.0) / 2.0
-    c = TAIL_LOG + math.log1p(theta) + theta * math.log(2.0)
-    return math.ceil((b + math.sqrt(b * b + 2.0 * t * c)) / t)
+    b = 4.0 * math.log(2.0) / t - (theta - 1.0) / 2.0
+    c = 2.0 * (TAIL_LOG + math.log1p(theta) + theta * math.log(2.0)) / t
+    h = math.hypot(b, math.sqrt(c))
+    root = b + h if b >= 0.0 else c / (h - b)
+    return math.ceil(root) if root < sys.maxsize else sys.maxsize
 
 
-def _line_count_entries(log_w: np.ndarray, rows: range, params: ModelParams) -> list:
-    """signed_log_sum results of the line-count series, one per x in rows.
+def _line_count_entries(
+    log_w: np.ndarray, rows: range, params: ModelParams
+) -> tuple[np.ndarray, np.ndarray]:
+    """signed_log_sums (sums, log_peaks) of the line-count series over x in rows.
 
     Entry x is 1{x=0} plus the sum over i = max(x,1)..I of
     (-1)^(i+x) (2i-1+theta) e^(-t i(i-1+theta)/2) C(i,x) (x+theta)_(i-1) w_i,
-    where log_w[i] = log w_i for i = 0..I.  Rows past I hold only terms
-    below the tail bound of _last_index and come back as exact zeros.
-    Rows are summed one at a time, so memory stays O(I).
+    where log_w[i] = log w_i for i = 0..I.  Rows x <= I form one (x, i)
+    block padded with -inf below i = x, summed in chunks of at most
+    BLOCK_TERMS floats; column i = 0 holds the 1{x=0} term.  Rows past I
+    hold only terms below the tail bound of _last_index: no terms are
+    built for them and they come back as exact zeros.
     """
     theta, t = params.theta, params.t
     top = len(log_w) - 1
     log_fact = log_gamma_table(1.0, top + 1)
     log_gamma = log_gamma_table(theta, 2 * top + 1)
-    i = np.arange(1, top + 1, dtype=float)
+    i = np.arange(top + 1)
     # the row-independent factors, with the i! of C(i,x) folded in
     base = np.full(top + 1, -math.inf)
+    i1 = i[1:]
     base[1:] = (
-        np.log(2 * i - 1 + theta) - t * i * (i - 1 + theta) / 2.0 + log_w[1:] + log_fact[1:]
+        np.log(2 * i1 - 1 + theta) - t * i1 * (i1 - 1 + theta) / 2.0 + log_w[1:] + log_fact[1:]
     )
-    alternating = np.where(np.arange(2 * top + 1) % 2 == 0, 1.0, -1.0)
-    entries = []
-    for x in rows:
-        if x > top:
-            entries.append((SignedLogValue(0, -math.inf), 1.0, -math.inf))
-            continue
-        lo = max(x, 1)
-        log_terms = (
-            base[lo:]
-            - log_fact[lo - x : top - x + 1]
-            + log_gamma[x + lo - 1 : x + top]
-            - (log_fact[x] + log_gamma[x])
+    sums = np.zeros(len(rows))
+    log_peaks = np.full(len(rows), -math.inf)
+    xs = np.arange(rows.start, min(rows.stop, top + 1))
+    chunk = max(1, BLOCK_TERMS // (top + 1))
+    for lo in range(0, len(xs), chunk):
+        x = xs[lo : lo + chunk, None]
+        gap = i - x
+        log_terms = np.where(
+            gap >= 0,
+            base - log_fact[np.abs(gap)] + log_gamma[x + i - 1] - (log_fact[x] + log_gamma[x]),
+            -math.inf,
         )
-        signs = alternating[lo + x : top + x + 1]
-        if x == 0:
-            log_terms = np.concatenate(([0.0], log_terms))
-            signs = np.concatenate(([1.0], signs))
-        entries.append(signed_log_sum(log_terms, signs))
-    return entries
+        log_terms[:, 0] = np.where(x[:, 0] == 0, 0.0, -math.inf)
+        signs = np.where((i + x) % 2 == 0, 1.0, -1.0)
+        sums[lo : lo + len(x)], log_peaks[lo : lo + len(x)] = signed_log_sums(log_terms, signs)
+    return sums, log_peaks
 
 
 def _default_n_start(theta: float) -> int:
@@ -171,11 +180,11 @@ def _ancestral_values(params: ModelParams, n_max: int | None) -> np.ndarray:
     log_w = -log_gamma_table(1.0, top + 1)
 
     def entries(lo: int, hi: int) -> list[float]:
-        sums = _line_count_entries(log_w, range(lo, hi), params)
-        return [
-            reliable_value(entry, f"ancestral entry d_{n}", "t is too small for the series")
-            for n, entry in enumerate(sums, start=lo)
-        ]
+        return reliable_values(
+            *_line_count_entries(log_w, range(lo, hi), params),
+            lambda r: f"ancestral entry d_{lo + r}",
+            "t is too small for the series",
+        ).tolist()
 
     if n_max is None:
         values = entries(0, _default_n_start(params.theta) + 1)
@@ -208,12 +217,14 @@ def ancestral_pmf(n_max: int | None, params: ModelParams) -> Pmf:
     )
 
 
-def _lineage_entries(m: int, params: ModelParams) -> list:
-    """Signed-sum results for P[sample ancestral count = x], x = 0..m."""
+def _lineage_entries(m: int, params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
+    """signed_log_sums results for P[sample ancestral count = x], x = 0..m."""
     top = min(m, _last_index(params))
-    log_fact = log_gamma_table(1.0, m + 1)
-    log_gamma = log_gamma_table(params.theta, m + top + 1)
     i = np.arange(top + 1)
+    # lgamma only where it is read: k! at k <= top and k >= m - top, and
+    # Gamma(theta + k) at m <= k <= m + top
+    log_fact = log_gamma_table(1.0, m + 1, np.concatenate((i, m - i)))
+    log_gamma = log_gamma_table(params.theta, m + top + 1, m + i)
     # C(m,i) / (theta+m)_i
     log_w = log_fact[m] - log_fact[i] - log_fact[m - i] - (log_gamma[m + i] - log_gamma[m])
     return _line_count_entries(log_w, range(m + 1), params)
@@ -225,7 +236,7 @@ def _min_reliable_t(m: int, params: ModelParams) -> float | None:
         t *= 2.0
         try:
             probe = ModelParams(params.theta, t)
-            Pmf.from_signed_sums(_lineage_entries(m, probe), 0, context="probe")
+            Pmf.from_signed_sums(*_lineage_entries(m, probe), 0, context="probe")
             return t
         except NumericalConditioningError:
             continue
@@ -258,7 +269,7 @@ def lineage_pmf(m: int, params: ModelParams) -> Pmf:
         return Pmf(0, probs, 0.0)
     try:
         return Pmf.from_signed_sums(
-            _lineage_entries(m, params), 0, context="sample line count"
+            *_lineage_entries(m, params), 0, context="sample line count"
         )
     except NumericalConditioningError as err:
         raise NumericalConditioningError(
@@ -322,7 +333,8 @@ def _freq_row_pmf(
     l: int, n: int, m: int, log_fact: np.ndarray, log_gamma: np.ndarray
 ) -> Pmf:
     """r_freq_pmf(l, n, m, theta) from tables log_fact[k] = log k! and
-    log_gamma[k] = lgamma(theta + k), covering k <= max(n, m) and k <= n + m.
+    log_gamma[k] = lgamma(theta + k), read only at the indices that
+    _freq_tables evaluates.
 
     Entry x sums over i = x..min(n, m // l) with sign (-1)^(i-x); all
     entries come from one (x, i) block, padded with -inf below i = x, and
@@ -346,7 +358,27 @@ def _freq_row_pmf(
     )
     signs = np.where(gap % 2 == 0, 1.0, -1.0)
     return Pmf.from_signed_sums(
-        signed_log_sums(log_terms, signs), 0, context="frequency-level type count"
+        *signed_log_sums(log_terms, signs), 0, context="frequency-level type count"
+    )
+
+
+def _freq_tables(l: int, ns, m: int, theta: float) -> tuple[np.ndarray, np.ndarray]:
+    """The log_fact and log_gamma tables of _freq_row_pmf for the rows n in ns.
+
+    Row n reads log k! at k <= n and k = m - il, and lgamma(theta + k) at
+    k <= n and k = n + m - i(1+l), for i <= min(n, m // l); only those
+    entries are evaluated.
+    """
+    n_hi = max(ns)
+    low = np.arange(n_hi + 1)
+    far_fact, far_gamma = [], []
+    for n in ns:
+        i = np.arange(min(n, m // l) + 1)
+        far_fact.append(m - i * l)
+        far_gamma.append(n + m - i * (1 + l))
+    return (
+        log_gamma_table(1.0, max(n_hi, m) + 1, np.concatenate([low, *far_fact])),
+        log_gamma_table(theta, n_hi + m + 1, np.concatenate([low, *far_gamma])),
     )
 
 
@@ -355,7 +387,8 @@ def r_freq_pmf(l: int, n: int, m: int, theta: float) -> Pmf:
     """Old types observed exactly l times: n seed types, m draws.
 
     Alternating sum over how many of the n types are forced to frequency
-    l; each entry runs through signed_log_sums with the usual gates.
+    l; all entries run through one signed_log_sums call and the usual
+    gates.
     """
     if l < 1:
         raise ValueError(f"l must be >= 1, got {l}")
@@ -363,18 +396,16 @@ def r_freq_pmf(l: int, n: int, m: int, theta: float) -> Pmf:
         raise ValueError("n and m must be nonnegative")
     if not (theta > 0):
         raise ValueError(f"theta must be positive, got {theta}")
-    return _freq_row_pmf(
-        l, n, m, log_gamma_table(1.0, max(n, m) + 1), log_gamma_table(theta, n + m + 1)
-    )
+    return _freq_row_pmf(l, n, m, *_freq_tables(l, [n], m, theta))
 
 
 def _singleton_closed_entries(
     m: int, xs, params: ModelParams, i_hi: int, extra_log: np.ndarray
-) -> list[list]:
-    """signed_log_sums results of the direct singleton representation.
+) -> tuple[np.ndarray, np.ndarray]:
+    """signed_log_sums (sums, log_peaks) of the direct singleton representation.
 
-    extra_log is a stack of rows, each indexed by n = 0..i_hi, and the
-    result holds, for each x in xs, one sum per row.  Entry x of row r
+    extra_log is a stack of rows, each indexed by n = 0..i_hi, and both
+    results are (len(xs), rows) arrays: one sum per x and row.  Entry x of row r
     sums, over j = max(x,1)..m, i = j..i_hi and n = j..i,
     (-1)^(j-x+i+n) C(j,x) C(m,j) (2i-1+theta) e^(-t i(i-1+theta)/2)
     (theta+n-j)_(m-j) Gamma(theta+n+i-1) / ((n-j)! (i-n)! Gamma(theta+n+m))
@@ -407,8 +438,9 @@ def _singleton_closed_entries(
             + log_fact[m] - log_fact[j] - log_fact[m - j]
         )
         blocks[j] = (log_terms, n, np.where((i + n + j) % 2 == 0, 1.0, -1.0))
-    entries = []
-    for x in xs:
+    sums = np.empty((len(xs), len(extra_log)))
+    log_peaks = np.empty_like(sums)
+    for r, x in enumerate(xs):
         js = range(max(x, 1), m + 1)
         flip = 1.0 if x % 2 == 0 else -1.0
         log_terms = [blocks[j][0] + (log_fact[j] - log_fact[x] - log_fact[j - x]) for j in js]
@@ -419,10 +451,10 @@ def _singleton_closed_entries(
             ns.append([0])
             signs.append([1.0])
         ns = np.concatenate(ns)
-        entries.append(
-            signed_log_sums(np.concatenate(log_terms) + extra_log[:, ns], np.concatenate(signs))
+        sums[r], log_peaks[r] = signed_log_sums(
+            np.concatenate(log_terms) + extra_log[:, ns], np.concatenate(signs)
         )
-    return entries
+    return sums, log_peaks
 
 
 @lru_cache(maxsize=64)
@@ -443,15 +475,16 @@ def singleton_lineage_pmf(m: int, params: ModelParams, method: str = "mixture") 
     if params.t == 0.0:
         raise ValueError("the ancestral line count starts at infinity; t must be > 0")
     if method == "closed":
-        sums = _singleton_closed_entries(m, range(m + 1), params, m, np.zeros((1, m + 1)))
+        sums, log_peaks = _singleton_closed_entries(
+            m, range(m + 1), params, m, np.zeros((1, m + 1))
+        )
         return Pmf.from_signed_sums(
-            [row[0] for row in sums], 0, context="singleton ancestor count"
+            sums[:, 0], log_peaks[:, 0], 0, context="singleton ancestor count"
         )
     weights = _ancestral_values(params, None)
     top = len(weights) - 1
     # one table pair serves every row n = 0..top
-    log_fact = log_gamma_table(1.0, max(top, m) + 1)
-    log_gamma = log_gamma_table(params.theta, top + m + 1)
+    log_fact, log_gamma = _freq_tables(1, range(top + 1), m, params.theta)
     probs = np.zeros(m + 1)
     for n, w in enumerate(weights):
         if w == 0.0:

@@ -2,19 +2,22 @@
 
 Every distribution in this package is an alternating sum whose terms can
 dwarf the result, so all term arithmetic happens in log space with explicit
-signs.  Every sum runs through signed_log_sums, which sums each row of a
-padded (rows x terms) array with one peak shift and one exact math.fsum
-per row and reports how much cancellation occurred; signed_log_sum is its
-one-row case.  reliable_value turns a sum into a number only when the
-surviving digits are more than rounding noise; otherwise callers see a
-NumericalConditioningError.  Log-gamma values come from math.lgamma, in
-per-call tables where a kernel needs many of them.
+signs.  Every sum runs through signed_log_sums, which takes a padded
+(rows x terms) block, shifts each row by its own peak term, combines it
+with one exact math.fsum and returns two arrays: the scaled sums, whose
+magnitudes are the cancellation ratios, and the log peaks.  reliable_values
+turns those arrays into numbers only where the surviving digits are more
+than rounding noise; otherwise callers see a NumericalConditioningError
+naming the first failing entry.  Log-gamma values come from math.lgamma,
+in per-call tables where a kernel needs many of them, evaluated only at
+the entries the kernel reads.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -25,9 +28,8 @@ __all__ = [
     "log_gamma_table",
     "log_rising_factorial",
     "log_binomial",
-    "signed_log_sum",
     "signed_log_sums",
-    "reliable_value",
+    "reliable_values",
 ]
 
 CLIP_FLOOR = 1e-10
@@ -78,13 +80,22 @@ class SignedLogValue:
         return SignedLogValue(sign, self.log_magnitude + other.log_magnitude)
 
 
-def log_gamma_table(base: float, size: int) -> np.ndarray:
+def log_gamma_table(base: float, size: int, at=None) -> np.ndarray:
     """lgamma(base + k) for k = 0..size-1.
 
     With base 1 this is log k!; with base theta, differences of entries
-    give log rising factorials (theta + a)_n = G[a + n] - G[a].
+    give log rising factorials (theta + a)_n = G[a + n] - G[a].  A kernel
+    that reads few entries of a long table passes their indices as
+    ``at``: only those are evaluated, the rest are nan.  An entry has the
+    same value either way.
     """
-    return np.array([math.lgamma(base + k) for k in range(size)])
+    if at is None:
+        return np.array([math.lgamma(base + k) for k in range(size)])
+    read = np.zeros(size, dtype=bool)
+    read[at] = True
+    table = np.full(size, math.nan)
+    table[read] = [math.lgamma(base + k) for k in np.flatnonzero(read).tolist()]
+    return table
 
 
 def log_rising_factorial(x: float, n: int) -> float:
@@ -121,69 +132,58 @@ def log_binomial(n: int, k: int) -> float:
 
 def signed_log_sums(
     log_terms: np.ndarray, signs: np.ndarray
-) -> list[tuple[SignedLogValue, float, float]]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Row sums of sign * exp(log_term) over a (rows x terms) array.
 
     Rows of different lengths are padded with log term -inf, which
-    contributes nothing.  Each row gives (total, cancellation_ratio, log
-    of the peak term magnitude).  The ratio is |total| over the peak
-    term: near 1 for benign sums, tiny when the digits that survive are
-    rounding error.  Each row is shifted by its own peak and its scaled
-    mantissas are combined with math.fsum, which is exact, so a total
-    differs from the true sum of the rounded terms only by the final
-    rounding.
+    contributes nothing.  Returns two arrays over the rows, (sums,
+    log_peaks): log_peaks[r] is the log magnitude of the largest term of
+    row r (-inf for an all-padding row) and sums[r] the row's total
+    divided by that term, so the row's value is sums[r] * exp(log_peaks[r])
+    and |sums[r]| is its cancellation ratio: near 1 for benign sums, tiny
+    when the digits that survive are rounding error.  Each row is shifted
+    by its own peak and its scaled mantissas are combined with
+    math.fsum, which is exact, so a sum differs from the true sum of the
+    rounded terms only by the final rounding.
     """
     log_terms = np.asarray(log_terms, dtype=float)
-    peaks = np.max(log_terms, axis=1, initial=-math.inf)
-    shift = np.where(peaks > -math.inf, peaks, 0.0)
+    log_peaks = log_terms.max(axis=1, initial=-math.inf)
+    shift = np.where(log_peaks > -math.inf, log_peaks, 0.0)
     scaled = np.asarray(signs, dtype=float) * np.exp(log_terms - shift[:, None])
-    sums = []
-    for row, m in zip(scaled, peaks.tolist()):
-        if m == -math.inf:
-            sums.append((SignedLogValue(0, -math.inf), 1.0, -math.inf))
-            continue
-        total = math.fsum(row.tolist())
-        ratio = abs(total)  # largest scaled magnitude is 1 by construction
-        if total == 0.0:
-            sums.append((SignedLogValue(0, -math.inf), ratio, m))
-        else:
-            sums.append(
-                (SignedLogValue(1 if total > 0 else -1, math.log(abs(total)) + m), ratio, m)
-            )
-    return sums
+    # row by row, so no Python list of the whole block is built
+    sums = np.array([math.fsum(row.tolist()) for row in scaled], dtype=float)
+    return sums, log_peaks
 
 
-def signed_log_sum(
-    log_terms: np.ndarray, signs: np.ndarray
-) -> tuple[SignedLogValue, float, float]:
-    """signed_log_sums of a single row of terms."""
-    return signed_log_sums(np.atleast_2d(log_terms), np.atleast_2d(signs))[0]
+def reliable_values(
+    sums: np.ndarray, log_peaks: np.ndarray, what: Callable[[int], str], remedy: str
+) -> np.ndarray:
+    """The values of signed_log_sums results, or a refusal.
 
-
-def reliable_value(
-    entry: tuple[SignedLogValue, float, float], what: str, remedy: str
-) -> float:
-    """The value of a signed_log_sum result, or a refusal.
-
-    The sum carries absolute rounding noise on the order of its peak term
+    A sum carries absolute rounding noise on the order of its peak term
     times accumulated ulps; a sum whose noise exceeds ENTRY_NOISE_BUDGET
     (for probability-sized results, a cancellation ratio far below 1e-8)
     is refused.  A negative value within the larger of CLIP_FLOOR and the
-    noise scale is clipped to zero; a larger negative is refused.
-    ``what`` names the quantity and ``remedy`` the way around a refusal.
+    noise scale is clipped to zero; a larger negative is refused.  The
+    refusal names the first failing entry r in index order as what(r);
+    ``remedy`` names the way around it.
     """
-    total, ratio, log_peak = entry
-    noise = 0.0 if log_peak == -math.inf else math.exp(min(log_peak - LOG_NOISE_SHIFT, 700.0))
-    if noise > ENTRY_NOISE_BUDGET:
+    noise = np.exp(np.minimum(log_peaks - LOG_NOISE_SHIFT, 700.0))
+    noisy = noise > ENTRY_NOISE_BUDGET
+    # a refused entry's peak may overflow exp; its value is never read
+    values = sums * np.exp(np.where(noisy, 0.0, log_peaks))
+    refused = noisy | (values < -np.maximum(CLIP_FLOOR, noise))
+    if refused.any():
+        r = int(np.argmax(refused))
+        ratio = abs(float(sums[r]))
+        if noisy[r]:
+            raise NumericalConditioningError(
+                f"{what(r)} lost all significant digits (cancellation ratio "
+                f"{ratio:.2e}, noise scale {noise[r]:.2e}); {remedy}",
+                cancellation_ratio=ratio,
+            )
         raise NumericalConditioningError(
-            f"{what} lost all significant digits (cancellation ratio "
-            f"{ratio:.2e}, noise scale {noise:.2e}); {remedy}",
+            f"{what(r)} is negative beyond the clipping floor ({values[r]:.3e})",
             cancellation_ratio=ratio,
         )
-    value = total.value
-    if value < -max(CLIP_FLOOR, noise):
-        raise NumericalConditioningError(
-            f"{what} is negative beyond the clipping floor ({value:.3e})",
-            cancellation_ratio=ratio,
-        )
-    return max(value, 0.0)
+    return np.maximum(values, 0.0)

@@ -4,7 +4,7 @@ A Pmf here is a contiguous block of probabilities starting at
 ``support_offset``, plus bookkeeping about how trustworthy the numbers
 are: the mass defect observed before any repair, and whether the entries
 were renormalized.  Assembly from signed log-space sums passes every
-entry through the package-wide noise gate (numerics.reliable_value) and
+entry through the package-wide noise gate (numerics.reliable_values) and
 then the mass tolerance.
 """
 
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalConditioningError
-from .numerics import CLIP_FLOOR, SignedLogValue, reliable_value
+from .numerics import CLIP_FLOOR, reliable_values
 
 __all__ = ["Pmf", "MASS_TOLERANCE"]
 
@@ -80,27 +80,28 @@ class Pmf:
     @classmethod
     def from_signed_sums(
         cls,
-        entries: list[tuple[SignedLogValue, float, float]],
+        sums: np.ndarray,
+        log_peaks: np.ndarray,
         support_offset: int = 0,
         renormalize: bool = True,
         context: str = "pmf",
     ) -> "Pmf":
-        """Assemble a Pmf from per-entry (total, cancellation_ratio, log_peak_term).
+        """Assemble a Pmf from the (sums, log_peaks) arrays of numerics.signed_log_sums.
 
-        Each entry passes numerics.reliable_value, so one entry lost to
-        rounding noise, or negative beyond its noise scale, fails the
-        whole pmf.  With renormalize=True the surviving entries are scaled
-        to unit mass and the pre-repair defect is recorded; truncated
-        laws pass renormalize=False to keep the tail defect visible.
+        Entry i is sums[i] * exp(log_peaks[i]).  Every entry passes
+        numerics.reliable_values, so one entry lost to rounding noise, or
+        negative beyond its noise scale, fails the whole pmf, and the
+        refusal names the first such entry.  With renormalize=True the
+        surviving entries are scaled to unit mass and the pre-repair
+        defect is recorded; truncated laws pass renormalize=False to keep
+        the tail defect visible.
         """
-        values = np.array([
-            reliable_value(
-                entry,
-                f"{context}: entry at {support_offset + i}",
-                "use the simulation path for this parameter regime",
-            )
-            for i, entry in enumerate(entries)
-        ])
+        values = reliable_values(
+            sums,
+            log_peaks,
+            lambda i: f"{context}: entry at {support_offset + i}",
+            "use the simulation path for this parameter regime",
+        )
         return cls._mass_checked(values, support_offset, renormalize, context)
 
     @classmethod

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -31,8 +32,8 @@ from .numerics import (
     log_binomial,
     log_gamma_table,
     log_rising_factorial,
-    reliable_value,
-    signed_log_sum,
+    reliable_values,
+    signed_log_sums,
 )
 from .pmf import Pmf
 
@@ -130,32 +131,47 @@ def cond_r_pmf(n: int, m: int, m_prime: int, y: int, theta: float) -> Pmf:
     return Pmf.from_floats(probs, support_offset=y, context="enlarged type count")
 
 
+@lru_cache(maxsize=32)
+def _hit_block(y: int, hi: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """log C(y,x), log C(x,j) and the sign (-1)^(x-j) for the (x, j) block of
+    cond_r_freq_pmf, x, j = 0..hi, with log C(x,j) = -inf above j = x.
+
+    They depend on the counts only, so a curve over m' and the population
+    levels n reuses them; the usual y are small, and so are the blocks held.
+    """
+    log_fact = log_gamma_table(1.0, y + 1)
+    j = np.arange(hi + 1)
+    gap = j[:, None] - j  # x - j
+    log_binom_x = np.where(
+        gap >= 0, log_fact[j][:, None] - log_fact[j] - log_fact[np.abs(gap)], -math.inf
+    )
+    log_binom_y = log_fact[y] - log_fact[j] - log_fact[y - j]
+    return log_binom_y, log_binom_x, np.where(gap % 2 == 0, 1.0, -1.0)
+
+
 def cond_r_freq_pmf(l: int, n: int, m: int, m_prime: int, y: int, theta: float) -> Pmf:
     """Law of how many frequency-l types gain a copy among m' extra draws.
 
     y of the n old types sit at frequency l after m draws; x counts the
     ones that at least one extra draw lands on, so the support runs
-    0..min(y, m').
+    0..min(y, m').  Entry x is the inclusion-exclusion sum over j = 0..x
+    of (-1)^(x-j) C(y,x) C(x,j) (theta+n+m-(y-j)(1+l))_m' / (theta+n+m)_m';
+    all entries come from one (x, j) block, padded with -inf above j = x.
     """
     if l < 1:
         raise ValueError(f"l must be >= 1, got {l}")
     _validate_conditional_args(n, m, m_prime, y, theta, y_cap=min(n, m // l))
     hi = min(y, m_prime)
     log_denom = log_rising_factorial(theta + n + m, m_prime)
-    entries = []
-    for x in range(hi + 1):
-        log_prefix = log_binomial(y, x) - log_denom
-        log_terms = []
-        signs = []
-        for i in range(y - x, y + 1):
-            signs.append(1.0 if (i - (y - x)) % 2 == 0 else -1.0)
-            log_terms.append(
-                log_prefix
-                + log_binomial(x, y - i)
-                + log_rising_factorial(theta + n + m - i * (1 + l), m_prime)
-            )
-        entries.append(signed_log_sum(log_terms, signs))
-    return Pmf.from_signed_sums(entries, support_offset=0, context="hit type count")
+    log_rise = np.array([
+        log_rising_factorial(theta + n + m - (y - j) * (1 + l), m_prime) for j in range(hi + 1)
+    ])
+    log_binom_y, log_binom_x, signs = _hit_block(y, hi)
+    return Pmf.from_signed_sums(
+        *signed_log_sums((log_binom_y - log_denom)[:, None] + log_binom_x + log_rise, signs),
+        support_offset=0,
+        context="hit type count",
+    )
 
 
 def n_posterior(m: int, y: int, params: ModelParams, mode: str = "total") -> Pmf:
@@ -249,10 +265,10 @@ def _closed_singleton_values(
 ) -> np.ndarray:
     """Gated entries x = y of the closed singleton kernel (see ancestral),
     one per row of the extra_log stack."""
-    return np.array([
-        reliable_value(entry, "closed singleton series", "use the mixture route")
-        for entry in _singleton_closed_entries(m, [y], params, i_hi, extra_log)[0]
-    ])
+    sums, log_peaks = _singleton_closed_entries(m, [y], params, i_hi, extra_log)
+    return reliable_values(
+        sums[0], log_peaks[0], lambda r: "closed singleton series", "use the mixture route"
+    )
 
 
 def predictive_singleton_pmf(query: PredictiveQuery, method: str = "mixture") -> Pmf:

@@ -1,10 +1,12 @@
 """Reference implementations that only the tests use.
 
 Exact combinatorial counts, falling factorials and factorial moments give
-independent checks on the analytic laws; the entry-by-entry frequency-level
-urn law is the reference for the production row kernel; the event-by-event
-block-process step and the death-process sampler are the oracles the
-production simulator is compared against.
+independent checks on the analytic laws.  The one-row signed sum, the
+per-entry gate, the row-by-row line-count series and the entry-by-entry
+frequency-level urn law are the references for the production block
+kernels and array gates.  The event-by-event block-process step and the
+death-process sampler are the oracles the production simulator is
+compared against.
 """
 
 from __future__ import annotations
@@ -15,13 +17,17 @@ from functools import lru_cache
 
 import numpy as np
 
+from coalineage.ancestral import ModelParams, _last_index
+from coalineage.errors import NumericalConditioningError
 from coalineage.ewens import AllelicPartition
 from coalineage.numerics import (
+    CLIP_FLOOR,
+    ENTRY_NOISE_BUDGET,
+    LOG_NOISE_SHIFT,
     SignedLogValue,
     log_binomial,
     log_gamma_table,
     log_rising_factorial,
-    signed_log_sum,
 )
 from coalineage.pmf import Pmf
 from coalineage.posterior import _validate_conditional_args
@@ -99,6 +105,115 @@ def log_falling_factorial(x: float, n: int) -> SignedLogValue:
     return SignedLogValue(sign, math.fsum(logs))
 
 
+def signed_log_sum(log_terms, signs) -> tuple[SignedLogValue, float, float]:
+    """One signed sum of sign * exp(log_term): (total, cancellation_ratio, log_peak).
+
+    The one-row form of numerics.signed_log_sums: the terms are shifted
+    by the peak term and combined with math.fsum; the ratio is |total|
+    over the peak term, and an empty or all -inf row is an exact zero.
+    """
+    log_terms = np.asarray(log_terms, dtype=float)
+    peak = float(np.max(log_terms, initial=-math.inf))
+    if peak == -math.inf:
+        return SignedLogValue(0, -math.inf), 1.0, -math.inf
+    total = math.fsum((np.asarray(signs, dtype=float) * np.exp(log_terms - peak)).tolist())
+    if total == 0.0:
+        return SignedLogValue(0, -math.inf), 0.0, peak
+    return SignedLogValue(1 if total > 0 else -1, math.log(abs(total)) + peak), abs(total), peak
+
+
+def reliable_value(entry: tuple[SignedLogValue, float, float], what: str, remedy: str) -> float:
+    """The per-entry form of numerics.reliable_values: one signed_log_sum result, gated."""
+    total, ratio, log_peak = entry
+    noise = 0.0 if log_peak == -math.inf else math.exp(min(log_peak - LOG_NOISE_SHIFT, 700.0))
+    if noise > ENTRY_NOISE_BUDGET:
+        raise NumericalConditioningError(
+            f"{what} lost all significant digits (cancellation ratio "
+            f"{ratio:.2e}, noise scale {noise:.2e}); {remedy}",
+            cancellation_ratio=ratio,
+        )
+    value = total.value
+    if value < -max(CLIP_FLOOR, noise):
+        raise NumericalConditioningError(
+            f"{what} is negative beyond the clipping floor ({value:.3e})",
+            cancellation_ratio=ratio,
+        )
+    return max(value, 0.0)
+
+
+def values_by_entry(entries, what, remedy: str) -> np.ndarray:
+    """reliable_value of each entry in index order; what(i) labels entry i."""
+    return np.array([reliable_value(entry, what(i), remedy) for i, entry in enumerate(entries)])
+
+
+def pmf_by_entry(entries, context: str) -> Pmf:
+    """Pmf.from_signed_sums with the per-entry gate."""
+    values = values_by_entry(
+        entries,
+        lambda i: f"{context}: entry at {i}",
+        "use the simulation path for this parameter regime",
+    )
+    return Pmf.from_floats(values, 0, context=context)
+
+
+def line_count_entries_by_row(log_w: np.ndarray, rows: range, params: ModelParams) -> list:
+    """signed_log_sum results of the line-count series, one row x at a time.
+
+    The same series as ancestral._line_count_entries: entry x is 1{x=0}
+    plus the sum over i = max(x,1)..I of (-1)^(i+x) (2i-1+theta)
+    e^(-t i(i-1+theta)/2) C(i,x) (x+theta)_(i-1) w_i; rows past I are
+    exact zeros.
+    """
+    theta, t = params.theta, params.t
+    top = len(log_w) - 1
+    log_fact = log_gamma_table(1.0, top + 1)
+    log_gamma = log_gamma_table(theta, 2 * top + 1)
+    i = np.arange(1, top + 1, dtype=float)
+    base = np.full(top + 1, -math.inf)
+    base[1:] = (
+        np.log(2 * i - 1 + theta) - t * i * (i - 1 + theta) / 2.0 + log_w[1:] + log_fact[1:]
+    )
+    alternating = np.where(np.arange(2 * top + 1) % 2 == 0, 1.0, -1.0)
+    entries = []
+    for x in rows:
+        if x > top:
+            entries.append((SignedLogValue(0, -math.inf), 1.0, -math.inf))
+            continue
+        lo = max(x, 1)
+        log_terms = (
+            base[lo:]
+            - log_fact[lo - x : top - x + 1]
+            + log_gamma[x + lo - 1 : x + top]
+            - (log_fact[x] + log_gamma[x])
+        )
+        signs = alternating[lo + x : top + x + 1]
+        if x == 0:
+            log_terms = np.concatenate(([0.0], log_terms))
+            signs = np.concatenate(([1.0], signs))
+        entries.append(signed_log_sum(log_terms, signs))
+    return entries
+
+
+def lineage_entries_by_row(m: int, params: ModelParams) -> list:
+    """line_count_entries_by_row for the sample law, from full log-gamma tables."""
+    top = min(m, _last_index(params))
+    log_fact = log_gamma_table(1.0, m + 1)
+    log_gamma = log_gamma_table(params.theta, m + top + 1)
+    i = np.arange(top + 1)
+    log_w = log_fact[m] - log_fact[i] - log_fact[m - i] - (log_gamma[m + i] - log_gamma[m])
+    return line_count_entries_by_row(log_w, range(m + 1), params)
+
+
+def ancestral_values_by_row(params: ModelParams, rows: range) -> np.ndarray:
+    """Gated population line-count entries d_n, n in rows, one row at a time."""
+    log_w = -log_gamma_table(1.0, _last_index(params) + 1)
+    return values_by_entry(
+        line_count_entries_by_row(log_w, rows, params),
+        lambda i: f"ancestral entry d_{rows[i]}",
+        "t is too small for the series",
+    )
+
+
 def factorial_moment_r(r: int, n: int, m: int, m_prime: int, y: int, theta: float) -> float:
     """Falling-factorial moment E[(X)_[r]] of the enlarged type count."""
     if r < 0:
@@ -157,7 +272,7 @@ def factorial_moment_r_freq(
 
 
 def r_freq_pmf_by_entry(l: int, n: int, m: int, theta: float) -> Pmf:
-    """Old types observed exactly l times, one signed_log_sum per entry x.
+    """Old types observed exactly l times, one signed_log_sum and gate per entry x.
 
     The same alternating sum over i = x..min(n, m // l) as
     ancestral.r_freq_pmf, with full log-gamma tables and a Python loop
@@ -180,7 +295,7 @@ def r_freq_pmf_by_entry(l: int, n: int, m: int, theta: float) -> Pmf:
         log_terms = log_parts[x:] + log_fact[i[x:]] - log_fact[x] - log_fact[i[x:] - x]
         signs = np.where((i[x:] - x) % 2 == 0, 1.0, -1.0)
         entries.append(signed_log_sum(log_terms, signs))
-    return Pmf.from_signed_sums(entries, 0, context="frequency-level type count")
+    return pmf_by_entry(entries, "frequency-level type count")
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,16 @@
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from coalineage import ancestral, posterior
 from coalineage.ancestral import (
     ModelParams,
+    _ancestral_values,
+    _last_index,
+    _lineage_entries,
     ancestral_pmf,
     death_rate,
     lineage_mean,
@@ -18,8 +23,16 @@ from coalineage.ancestral import (
 )
 from coalineage.enumeration import enumerate_sequences, oracle_pmf_exact
 from coalineage.errors import NumericalConditioningError
+from coalineage.numerics import log_gamma_table, reliable_values
+from coalineage.pmf import Pmf
 
-from reference import r_freq_pmf_by_entry
+from reference import (
+    ancestral_values_by_row,
+    lineage_entries_by_row,
+    pmf_by_entry,
+    r_freq_pmf_by_entry,
+    values_by_entry,
+)
 
 # Reference values below come from an independent high-precision
 # evaluation of the same series (40+ digits), frozen here as floats.
@@ -209,11 +222,13 @@ class TestSeedTypeLaws:
     def test_r_freq_matches_entry_by_entry_reference(self, l, m):
         for n in (0, 1, 7, 50):
             for theta in (0.5, 9.5, 20.0):
+                got = r_freq_pmf(l, n, m, theta).probs
                 np.testing.assert_allclose(
-                    r_freq_pmf(l, n, m, theta).probs,
-                    r_freq_pmf_by_entry(l, n, m, theta).probs,
-                    rtol=1e-12, atol=0.0,
+                    got, r_freq_pmf_by_entry(l, n, m, theta).probs, rtol=1e-12, atol=0.0
                 )
+                # the tables evaluated only where read give the full tables' result
+                full = (log_gamma_table(1.0, max(n, m) + 1), log_gamma_table(theta, n + m + 1))
+                assert got.tolist() == ancestral._freq_row_pmf(l, n, m, *full).probs.tolist()
 
     def test_domain_checks(self):
         with pytest.raises(ValueError):
@@ -260,3 +275,101 @@ class TestSingletonLineagePmf:
             params = ModelParams(theta, t)
             closed = singleton_lineage_pmf(m, params, method="closed")
             assert closed.tv_distance(singleton_lineage_pmf(m, params)) <= 1e-8
+
+
+KERNEL_M = (0, 1, 20, 146, 1000)
+KERNEL_THETA = (0.5, 9.5, 20.0)
+KERNEL_T = (0.15, 0.34, 2.0)
+
+
+def refusal(compute) -> str | None:
+    try:
+        compute()
+    except NumericalConditioningError as err:
+        return str(err)
+    return None
+
+
+class TestBlockKernels:
+    """The (x, i) block kernels and array gates against the row-by-row references."""
+
+    @pytest.mark.parametrize("m", KERNEL_M)
+    def test_sample_law_matches_row_reference(self, m):
+        for theta in KERNEL_THETA:
+            for t in KERNEL_T:
+                params = ModelParams(theta, t)
+                what = lambda x: f"entry at {x}"
+                np.testing.assert_allclose(
+                    reliable_values(*_lineage_entries(m, params), what, "r"),
+                    values_by_entry(lineage_entries_by_row(m, params), what, "r"),
+                    rtol=1e-12, atol=0.0,
+                )
+
+    def test_population_law_matches_row_reference(self):
+        for theta in KERNEL_THETA:
+            for t in KERNEL_T:
+                params = ModelParams(theta, t)
+                values = _ancestral_values(params, None)
+                np.testing.assert_allclose(
+                    values,
+                    ancestral_values_by_row(params, range(len(values))),
+                    rtol=1e-12, atol=0.0,
+                )
+
+    @pytest.mark.parametrize("theta", KERNEL_THETA)
+    def test_refusals_match_row_reference(self, theta):
+        params = ModelParams(theta, 0.05)
+        sample = refusal(
+            lambda: Pmf.from_signed_sums(
+                *_lineage_entries(146, params), 0, context="sample line count"
+            )
+        )
+        assert sample is not None
+        assert sample == refusal(
+            lambda: pmf_by_entry(lineage_entries_by_row(146, params), "sample line count")
+        )
+        assert sample in refusal(lambda: lineage_pmf.__wrapped__(146, params))
+        population = refusal(lambda: _ancestral_values.__wrapped__(params, None))
+        assert population is not None
+        assert population == refusal(
+            lambda: ancestral_values_by_row(params, range(_last_index(params) + 1))
+        )
+
+    def test_no_runtime_warnings_reach_callers(self):
+        # the kernels pad with -inf and exponentiate refused peaks; none of
+        # that may surface as a numpy RuntimeWarning.  The closed routes
+        # run where they are affordable, m <= 20.
+        for cached in (lineage_pmf, singleton_lineage_pmf, _ancestral_values,
+                       ancestral.r_pmf, ancestral.r_freq_pmf, posterior._hit_block):
+            cached.cache_clear()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for m in KERNEL_M:
+                routes = ("mixture", "closed") if m <= 20 else ("mixture",)
+                for theta in KERNEL_THETA:
+                    for t in KERNEL_T:
+                        self._every_law(m, ModelParams(theta, t), routes)
+
+    @staticmethod
+    def _every_law(m, params, routes):
+        laws = [
+            lambda: lineage_pmf(m, params),
+            lambda: ancestral_pmf(None, params),
+            *(lambda r=r: singleton_lineage_pmf(m, params, method=r) for r in routes),
+        ]
+        if m > 0:
+            y_total = int(np.argmax(lineage_pmf(m, params).probs))
+            y_single = int(np.argmax(singleton_lineage_pmf(m, params).probs))
+            for r in routes:
+                laws += [
+                    lambda r=r: posterior.predictive_lineage_pmf(
+                        posterior.PredictiveQuery(m, 5, y_total, params), method=r
+                    ),
+                    lambda r=r: posterior.predictive_singleton_pmf(
+                        posterior.PredictiveQuery(m, 5, y_single, params), method=r
+                    ),
+                    lambda r=r: posterior.gt_singleton_prob(m, y_single, params, method=r),
+                ]
+            laws.append(lambda: posterior.gt_new_lineage_prob(m, y_total, params))
+        for law in laws:
+            refusal(law)

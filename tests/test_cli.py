@@ -161,6 +161,21 @@ class TestLineages:
         assert code == 0
         assert parse_rows(out_tsv, "\t") == rows
 
+    def test_huge_time_leaves_no_lines(self, capsys):
+        report = run_json(capsys, "lineages", "--m", "5", "--theta", "0.5", "--t", "1e308")
+        pairs = dict(map(tuple, report["pmf"]))
+        assert pairs[0] == 1.0
+        assert report["results"]["mean"] == 0.0
+
+    @pytest.mark.parametrize("field", ["theta", "t"])
+    def test_infinite_parameter_is_usage_error(self, capsys, field):
+        argv = {"--m": "5", "--theta": "0.5", "--t": "1"}
+        argv[f"--{field}"] = "inf"
+        code, out, err = run_cli(capsys, "lineages", *(a for kv in argv.items() for a in kv))
+        assert code == 2
+        assert f"{field} must be finite" in err
+        assert out == ""
+
     def test_missing_required_flag_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc_info:
             main(["lineages", "--m", "5", "--theta", "1"])

@@ -1,4 +1,5 @@
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -10,12 +11,18 @@ from coalineage.errors import NumericalConditioningError
 from coalineage.numerics import (
     SignedLogValue,
     log_binomial,
+    log_gamma_table,
     log_rising_factorial,
-    reliable_value,
-    signed_log_sum,
+    reliable_values,
     signed_log_sums,
 )
-from reference import log_falling_factorial, signless_stirling1, stirling2
+from reference import (
+    log_falling_factorial,
+    signed_log_sum,
+    signless_stirling1,
+    stirling2,
+    values_by_entry,
+)
 
 
 def exact_rising(x: Fraction, n: int) -> Fraction:
@@ -82,6 +89,14 @@ class TestLogFactorials:
         assert log_binomial(5, 6) == -math.inf
         assert log_binomial(5, -1) == -math.inf
 
+    def test_gamma_table_at_indices_matches_full_table(self):
+        for base in (1.0, 0.79, 9.5):
+            full = log_gamma_table(base, 40)
+            at = [0, 3, 3, 17, 39]
+            sparse = log_gamma_table(base, 40, at)
+            assert sparse[at].tolist() == full[at].tolist()
+            assert np.isnan(np.delete(sparse, at)).all()
+
 
 class TestSignedLogValue:
     @given(st.floats(min_value=-1e300, max_value=1e300, allow_nan=False))
@@ -111,41 +126,47 @@ def alternating_exp_terms(x: float, count: int):
     return k * math.log(x) - np.array([math.lgamma(j + 1) for j in k]), (-1.0) ** k
 
 
+def value_of(sums, log_peaks):
+    return sums * np.exp(log_peaks)
+
+
 class TestSignedLogSum:
     def test_matches_direct_sum(self):
         rng = np.random.default_rng(42)
-        for _ in range(20):
-            vals = rng.normal(size=15) * 10.0 ** rng.integers(-3, 3, size=15)
-            slv, ratio, log_peak = signed_log_sum(np.log(np.abs(vals)), np.sign(vals))
-            np.testing.assert_allclose(slv.value, math.fsum(vals.tolist()), rtol=1e-12)
-            assert 0.0 <= ratio
-            np.testing.assert_allclose(log_peak, np.log(np.abs(vals)).max(), rtol=1e-12)
+        vals = rng.normal(size=(20, 15)) * 10.0 ** rng.integers(-3, 3, size=(20, 15))
+        sums, log_peaks = signed_log_sums(np.log(np.abs(vals)), np.sign(vals))
+        for r, row in enumerate(vals):
+            np.testing.assert_allclose(
+                value_of(sums[r], log_peaks[r]), math.fsum(row.tolist()), rtol=1e-12
+            )
+        assert np.all(np.abs(sums) <= 15.0)
+        np.testing.assert_allclose(log_peaks, np.log(np.abs(vals)).max(axis=1), rtol=1e-12)
 
     def test_all_zero_terms(self):
-        slv, ratio, log_peak = signed_log_sum(
-            np.array([-math.inf, -math.inf]), np.array([1.0, 1.0])
-        )
-        assert slv.sign == 0
-        assert ratio == 1.0
-        assert log_peak == -math.inf
+        sums, log_peaks = signed_log_sums(np.array([[-math.inf, -math.inf]]), np.ones((1, 2)))
+        assert sums.tolist() == [0.0]
+        assert log_peaks.tolist() == [-math.inf]
 
     def test_exact_cancellation(self):
-        slv, ratio, log_peak = signed_log_sum(np.array([0.0, 0.0]), np.array([1.0, -1.0]))
-        assert slv.sign == 0
-        assert ratio == 0.0
-        assert log_peak == 0.0
+        sums, log_peaks = signed_log_sums(np.array([[0.0, 0.0]]), np.array([[1.0, -1.0]]))
+        assert sums.tolist() == [0.0]
+        assert log_peaks.tolist() == [0.0]
 
     def test_mild_alternating_series_accurate(self):
-        for x in [0.5, 1.0, 5.0]:
-            slv, ratio, _ = signed_log_sum(*alternating_exp_terms(x, 60))
-            np.testing.assert_allclose(slv.value, math.exp(-x), rtol=1e-10)
-            assert ratio > 1e-8
+        xs = [0.5, 1.0, 5.0]
+        terms = [alternating_exp_terms(x, 60) for x in xs]
+        sums, log_peaks = signed_log_sums(
+            np.array([t for t, _ in terms]), np.array([s for _, s in terms])
+        )
+        np.testing.assert_allclose(value_of(sums, log_peaks), np.exp(-np.array(xs)), rtol=1e-10)
+        assert np.all(np.abs(sums) > 1e-8)
 
     def test_catastrophic_cancellation_flagged(self):
         # terms near 20^20/20! ~ 4e7 against a true sum of 2e-9: every
         # surviving digit is noise, and the diagnostic must say so
-        _, ratio, _ = signed_log_sum(*alternating_exp_terms(20.0, 120))
-        assert ratio < 1e-8
+        log_terms, signs = alternating_exp_terms(20.0, 120)
+        sums, _ = signed_log_sums(log_terms[None, :], signs[None, :])
+        assert abs(sums[0]) < 1e-8
 
     @given(
         st.lists(
@@ -156,9 +177,9 @@ class TestSignedLogSum:
     )
     @settings(max_examples=200)
     def test_same_sign_sums_match_fsum(self, values):
-        slv, ratio, _ = signed_log_sum(np.log(values), np.ones(len(values)))
-        np.testing.assert_allclose(slv.value, math.fsum(values), rtol=1e-12)
-        assert ratio >= 1.0 - 1e-12
+        sums, log_peaks = signed_log_sums(np.log([values]), np.ones((1, len(values))))
+        np.testing.assert_allclose(value_of(sums, log_peaks)[0], math.fsum(values), rtol=1e-12)
+        assert sums[0] >= 1.0 - 1e-12
 
 
 class TestSignedLogSums:
@@ -170,25 +191,82 @@ class TestSignedLogSums:
         for r, vals in enumerate(rows):
             log_terms[r, : len(vals)] = np.log(np.abs(vals))
             signs[r, : len(vals)] = np.sign(vals)
-        sums = signed_log_sums(log_terms, signs)
+        sums, log_peaks = signed_log_sums(log_terms, signs)
         for r, vals in enumerate(rows):
-            assert sums[r] == signed_log_sum(np.log(np.abs(vals)), np.sign(vals))
+            total, ratio, log_peak = signed_log_sum(np.log(np.abs(vals)), np.sign(vals))
+            assert log_peaks[r] == log_peak
+            np.testing.assert_allclose(abs(sums[r]), ratio, rtol=1e-15)
+            np.testing.assert_allclose(value_of(sums[r], log_peaks[r]), total.value, rtol=1e-14)
         # an all-padding row is an empty sum
-        assert sums[-1] == (SignedLogValue(0, -math.inf), 1.0, -math.inf)
+        assert (sums[-1], log_peaks[-1]) == (0.0, -math.inf)
+
+
+def gate(sums, log_peaks):
+    return reliable_values(np.array(sums), np.array(log_peaks), lambda r: f"entry {r}", "remedy")
 
 
 class TestReliableValue:
     def test_noise_and_clipping_gates(self):
-        benign = signed_log_sum(np.array([0.0, math.log(0.5)]), np.array([1.0, -1.0]))
-        assert reliable_value(benign, "sum", "remedy") == 0.5
+        benign = signed_log_sums(np.array([[0.0, math.log(0.5)]]), np.array([[1.0, -1.0]]))
+        assert reliable_values(*benign, str, "remedy").tolist() == [0.5]
         # a peak term of e^20 leaves rounding noise near e^(20 - 34.5) ~ 5e-7
-        noisy = signed_log_sum(np.array([20.0, 20.0]), np.array([1.0, -1.0]))
+        noisy = signed_log_sums(np.array([[20.0, 20.0]]), np.array([[1.0, -1.0]]))
         with pytest.raises(NumericalConditioningError, match="lost all significant digits"):
-            reliable_value(noisy, "sum", "remedy")
+            reliable_values(*noisy, str, "remedy")
         # negatives within the clipping floor become zero, larger ones are refused
-        assert reliable_value((SignedLogValue.from_value(-1e-12), 1.0, 0.0), "sum", "r") == 0.0
+        assert gate([-1e-12], [0.0]).tolist() == [0.0]
         with pytest.raises(NumericalConditioningError, match="negative"):
-            reliable_value((SignedLogValue.from_value(-1e-6), 1.0, 0.0), "sum", "r")
+            gate([-1e-6], [0.0])
+
+    def test_refuses_first_failing_entry_in_index_order(self):
+        # entry 0 passes, 1 is negative beyond the floor, 2 is noise
+        with pytest.raises(NumericalConditioningError, match="entry 1 is negative"):
+            gate([0.5, -1e-6, 1.0], [0.0, 0.0, 40.0])
+        with pytest.raises(NumericalConditioningError, match="entry 1 lost all"):
+            gate([0.5, 1.0, -1e-6], [0.0, 40.0, 0.0])
+
+    def test_overflowing_refused_entries_stay_silent(self):
+        # a refused entry whose peak would overflow exp, next to an empty sum
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalConditioningError, match="entry 1 lost all"):
+                gate([0.0, 1.0], [-math.inf, 800.0])
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [[0.0, math.log(0.5)], [-math.inf, -math.inf], [-3.0, -5.0]],
+            # the second row is negative within its noise, the third beyond the floor
+            [[0.0], [0.0, 0.0, -36.0], [0.0, math.log(1.0 + 1e-6)]],
+            # the second row has a peak whose noise is over budget
+            [[-2.0, -2.5], [20.0, 20.0], [0.0, math.log(1.0 + 1e-6)]],
+            [[-1.0], [800.0, 799.0]],
+        ],
+    )
+    def test_matches_per_entry_gate(self, rows):
+        width = max(len(r) for r in rows)
+        log_terms = np.full((len(rows), width), -math.inf)
+        signs = np.ones((len(rows), width))
+        for r, row in enumerate(rows):
+            log_terms[r, : len(row)] = row
+            signs[r, 1 : len(row)] = -1.0
+        what = lambda r: f"entry {r}"
+        try:
+            expected = values_by_entry(
+                [signed_log_sum(log_terms[r], signs[r]) for r in range(len(rows))], what, "remedy"
+            )
+        except NumericalConditioningError as err:
+            with pytest.raises(NumericalConditioningError) as got:
+                reliable_values(*signed_log_sums(log_terms, signs), what, "remedy")
+            assert str(got.value) == str(err)
+            np.testing.assert_allclose(
+                got.value.cancellation_ratio, err.cancellation_ratio, rtol=1e-15
+            )
+        else:
+            np.testing.assert_allclose(
+                reliable_values(*signed_log_sums(log_terms, signs), what, "remedy"),
+                expected, rtol=1e-14,
+            )
 
 
 def brute_set_partitions(n: int) -> list[list[list[int]]]:
