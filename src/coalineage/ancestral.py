@@ -62,6 +62,14 @@ class ModelParams:
         for name, value in (("theta", self.theta), ("t", self.t)):
             if math.isinf(value):
                 raise ValueError(f"{name} must be finite, got {value}")
+        try:
+            # every law reads lgamma(theta + k) from the log-gamma tables
+            math.lgamma(self.theta)
+        except OverflowError:
+            raise ValueError(
+                f"theta must be below about 2.56e305, where lgamma(theta) "
+                f"overflows, got {self.theta}"
+            ) from None
 
 
 def death_rate(n: int, theta: float) -> float:
@@ -78,6 +86,16 @@ def rho(i: int, params: ModelParams) -> SignedLogValue:
     theta = params.theta
     log_mag = math.log(2 * i - 1 + theta) - death_rate(i, theta) * params.t
     return SignedLogValue(-1 if i % 2 else 1, log_mag)
+
+
+def _log_abs_rho(i: np.ndarray, params: ModelParams) -> np.ndarray:
+    """log |rho(i)| = log(2i-1+theta) - t i(i-1+theta)/2 over indices i >= 1.
+
+    A decay that overflows (t near the largest float) is the intended -inf.
+    """
+    theta, t = params.theta, params.t
+    with np.errstate(over="ignore"):
+        return np.log(2 * i - 1 + theta) - t * i * (i - 1 + theta) / 2.0
 
 
 def _last_index(params: ModelParams) -> int:
@@ -115,17 +133,14 @@ def _line_count_entries(
     hold only terms below the tail bound of _last_index: no terms are
     built for them and they come back as exact zeros.
     """
-    theta, t = params.theta, params.t
+    theta = params.theta
     top = len(log_w) - 1
     log_fact = log_gamma_table(1.0, top + 1)
     log_gamma = log_gamma_table(theta, 2 * top + 1)
     i = np.arange(top + 1)
     # the row-independent factors, with the i! of C(i,x) folded in
     base = np.full(top + 1, -math.inf)
-    i1 = i[1:]
-    base[1:] = (
-        np.log(2 * i1 - 1 + theta) - t * i1 * (i1 - 1 + theta) / 2.0 + log_w[1:] + log_fact[1:]
-    )
+    base[1:] = _log_abs_rho(i[1:], params) + log_w[1:] + log_fact[1:]
     sums = np.zeros(len(rows))
     log_peaks = np.full(len(rows), -math.inf)
     xs = np.arange(rows.start, min(rows.stop, top + 1))
@@ -419,7 +434,7 @@ def _singleton_closed_entries(
     finite at every n >= min(xs).  Valid for every theta > 0.  The (i, n)
     block of each j is built once and shared by every x and every row.
     """
-    theta, t = params.theta, params.t
+    theta = params.theta
     log_fact = log_gamma_table(1.0, i_hi + 1)
     log_gamma = log_gamma_table(theta, 2 * i_hi + 1)
     j_lo = max(min(xs), 1)
@@ -431,7 +446,7 @@ def _singleton_closed_entries(
         i = tri_i[:size] + j
         n = tri_n[:size] + j
         log_terms = (
-            np.log(2 * i - 1 + theta) - t * i * (i - 1 + theta) / 2.0
+            _log_abs_rho(i, params)
             - log_fact[n - j] - log_fact[i - n]
             + log_gamma[n + m - 2 * j] - log_gamma[n - j]
             + log_gamma[n + i - 1] - log_gamma[n + m]

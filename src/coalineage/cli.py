@@ -20,11 +20,9 @@ import csv
 import json
 import sys
 from collections import Counter
-from fractions import Fraction
 
 from .ancestral import ModelParams, lineage_pmf, tmrca_cdf
 from .datasets import load_dataset
-from .enumeration import oracle_pmf_exact
 from .errors import DataFormatError, NumericalConditioningError
 from .ewens import esf_log_prob, theta_mle
 from .pmf import Pmf
@@ -38,8 +36,6 @@ from .posterior import (
 from .simulate import run_replicates
 
 __all__ = ["build_parser", "main", "narrowest_interval95"]
-
-PUBLIC_COMMANDS = "{fit-theta,lineages,predict,simulate,discover}"
 
 
 def narrowest_interval95(counts: Counter) -> tuple[int, int]:
@@ -254,36 +250,6 @@ def cmd_discover(args) -> dict:
     }
 
 
-def cmd_oracle(args) -> dict:
-    # undocumented debugging surface over the exact enumeration
-    law = oracle_pmf_exact(
-        args.statistic,
-        n_atoms=args.n,
-        m=args.m,
-        m_prime=args.m_prime,
-        y=args.y,
-        l=args.l,
-        theta=Fraction(args.theta),
-    )
-    report = {
-        "command": "oracle",
-        "params": {
-            "statistic": args.statistic,
-            "n": args.n,
-            "m": args.m,
-            "m_prime": args.m_prime,
-            "theta": args.theta,
-        },
-        "results": {},
-        "pmf": [[x, float(p)] for x, p in sorted(law.items())],
-    }
-    if args.y is not None:
-        report["params"]["y"] = args.y
-    if args.l is not None:
-        report["params"]["l"] = args.l
-    return report
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="coalineage",
@@ -296,7 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="json",
         help="output format: one JSON object, or section/key/value rows",
     )
-    sub = parser.add_subparsers(dest="command", required=True, metavar=PUBLIC_COMMANDS)
+    sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser(
         "fit-theta",
@@ -388,19 +354,6 @@ def build_parser() -> argparse.ArgumentParser:
         "singleton: it lands on a single-descendant line",
     )
     p.set_defaults(func=cmd_discover)
-
-    # hidden: exact enumeration oracle, kept reachable for debugging
-    p = sub.add_parser("oracle", parents=[shared])
-    p.add_argument(
-        "--statistic", required=True, choices=("R", "R_l", "cond_R", "cond_R_l", "K", "V")
-    )
-    p.add_argument("--n", type=int, default=0)
-    p.add_argument("--m", type=int, default=0)
-    p.add_argument("--m-prime", type=int, default=0, dest="m_prime")
-    p.add_argument("--y", type=int, default=None)
-    p.add_argument("--l", type=int, default=None)
-    p.add_argument("--theta", default="1", help="rational, e.g. 1/2")
-    p.set_defaults(func=cmd_oracle)
 
     return parser
 

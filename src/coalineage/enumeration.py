@@ -20,8 +20,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
-import numpy as np
-
 from .pmf import Pmf
 
 __all__ = [
@@ -29,8 +27,6 @@ __all__ = [
     "enumerate_sequences",
     "oracle_pmf",
     "oracle_pmf_exact",
-    "urn_forward_sample",
-    "urn_forward_atom_counts",
 ]
 
 MAX_ENUM_SIZE = 12
@@ -259,55 +255,3 @@ def oracle_pmf(
     hi = max(exact)
     probs = [float(exact.get(x, Fraction(0))) for x in range(hi + 1)]
     return Pmf.from_floats(probs, 0, renormalize=False, context=f"oracle {statistic}")
-
-
-def urn_forward_sample(
-    n_atoms: int, m_draws: int, theta, seed
-) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Sample one urn trajectory; returns (atom multiplicities, class sizes).
-
-    Class sizes come back in order of first appearance.  Matches the law
-    enumerated by enumerate_sequences (not capped in size).
-    """
-    th = float(_as_fraction(theta))
-    rng = np.random.default_rng(seed)
-    counts = [0] * n_atoms
-    class_sizes: list[int] = []
-    for i in range(m_draws):
-        u = rng.random() * (th + n_atoms + i)
-        for j in range(n_atoms):
-            u -= 1 + counts[j]
-            if u < 0:
-                counts[j] += 1
-                break
-        else:
-            for c in range(len(class_sizes)):
-                u -= class_sizes[c]
-                if u < 0:
-                    class_sizes[c] += 1
-                    break
-            else:
-                class_sizes.append(1)
-    return tuple(counts), tuple(class_sizes)
-
-
-def urn_forward_atom_counts(
-    n_atoms: int, m_draws: int, theta, n_samples: int, seed
-) -> np.ndarray:
-    """Vectorized sampler for the atom-count marginal of the urn.
-
-    The atom counts are Markov on their own (anonymous classes only
-    matter through their total weight theta + draws on them), so large
-    Monte Carlo checks of the atom-side laws can skip class bookkeeping.
-    Returns an (n_samples, n_atoms) int array of final multiplicities.
-    """
-    th = float(_as_fraction(theta))
-    rng = np.random.default_rng(seed)
-    counts = np.zeros((n_samples, n_atoms), dtype=np.int64)
-    for i in range(m_draws):
-        pick = rng.random(n_samples) * (th + n_atoms + i)
-        thresholds = np.cumsum(1 + counts, axis=1)
-        j = (pick[:, None] >= thresholds).sum(axis=1)
-        hit = j < n_atoms
-        np.add.at(counts, (np.nonzero(hit)[0], j[hit]), 1)
-    return counts

@@ -111,17 +111,20 @@ def run_replicates(
     """Independent replicates of the block process, in index order.
 
     Replicate i uses the stream keyed [master_seed, i] regardless of the
-    worker layout, so any thread count produces the same summaries.
+    worker layout, so any thread count produces the same summaries.  No
+    more worker processes start than there are cores.
     """
     if n_replicates < 1:
         raise ValueError(f"n_replicates must be >= 1, got {n_replicates}")
     if threads is None:
         threads = default_threads()
+    # the pool forks every worker it is given on its first submit
+    workers = min(threads, os.cpu_count() or 1)
     spectrum = initial.spectrum
-    if threads <= 1 or n_replicates < 256:
+    if workers <= 1 or n_replicates < 256:
         rows = _run_chunk((spectrum, theta, t_horizon, master_seed, 0, n_replicates))
     else:
-        n_chunks = min(threads * 4, n_replicates)
+        n_chunks = min(workers * 4, n_replicates)
         bounds = np.linspace(0, n_replicates, n_chunks + 1, dtype=int)
         jobs = [
             (spectrum, theta, t_horizon, master_seed, int(lo), int(hi))
@@ -136,7 +139,7 @@ def run_replicates(
         from concurrent.futures import ProcessPoolExecutor
 
         rows = []
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+        with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
             for part in pool.map(_run_chunk, jobs):
                 rows.extend(part)
         rows.sort(key=lambda r: r[0])

@@ -6,13 +6,15 @@ per-entry gate, the row-by-row line-count series and the entry-by-entry
 frequency-level urn law are the references for the production block
 kernels and array gates.  The event-by-event block-process step and the
 death-process sampler are the oracles the production simulator is
-compared against.
+compared against.  The forward urn samplers draw from the law that the
+exact enumeration tabulates, so the two check each other.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -378,3 +380,55 @@ def simulate_death_process(start_n: int, theta: float, t_horizon: float, seed) -
     waits = rng.exponential(1.0, size=start_n) / rates
     passed = int(np.searchsorted(np.cumsum(waits), t_horizon, side="right"))
     return start_n - passed
+
+
+def urn_forward_sample(
+    n_atoms: int, m_draws: int, theta, seed
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Sample one urn trajectory; returns (atom multiplicities, class sizes).
+
+    Class sizes come back in order of first appearance.  Matches the law
+    enumerated by enumerate_sequences (not capped in size).
+    """
+    th = float(Fraction(theta))
+    rng = np.random.default_rng(seed)
+    counts = [0] * n_atoms
+    class_sizes: list[int] = []
+    for i in range(m_draws):
+        u = rng.random() * (th + n_atoms + i)
+        for j in range(n_atoms):
+            u -= 1 + counts[j]
+            if u < 0:
+                counts[j] += 1
+                break
+        else:
+            for c in range(len(class_sizes)):
+                u -= class_sizes[c]
+                if u < 0:
+                    class_sizes[c] += 1
+                    break
+            else:
+                class_sizes.append(1)
+    return tuple(counts), tuple(class_sizes)
+
+
+def urn_forward_atom_counts(
+    n_atoms: int, m_draws: int, theta, n_samples: int, seed
+) -> np.ndarray:
+    """Vectorized sampler for the atom-count marginal of the urn.
+
+    The atom counts are Markov on their own (anonymous classes only
+    matter through their total weight theta + draws on them), so large
+    Monte Carlo checks of the atom-side laws can skip class bookkeeping.
+    Returns an (n_samples, n_atoms) int array of final multiplicities.
+    """
+    th = float(Fraction(theta))
+    rng = np.random.default_rng(seed)
+    counts = np.zeros((n_samples, n_atoms), dtype=np.int64)
+    for i in range(m_draws):
+        pick = rng.random(n_samples) * (th + n_atoms + i)
+        thresholds = np.cumsum(1 + counts, axis=1)
+        j = (pick[:, None] >= thresholds).sum(axis=1)
+        hit = j < n_atoms
+        np.add.at(counts, (np.nonzero(hit)[0], j[hit]), 1)
+    return counts

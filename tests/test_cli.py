@@ -4,17 +4,19 @@ Commands run in-process through main() so the suite exercises argument
 parsing, exit codes, and the emitted bytes without subprocess overhead.
 """
 
+import argparse
 import json
 import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
 
 from coalineage.ancestral import ModelParams, lineage_pmf, singleton_lineage_pmf, tmrca_cdf
-from coalineage.cli import main, narrowest_interval95
+from coalineage.cli import build_parser, main, narrowest_interval95
 
 SINGH_SPECTRUM = {1: 10, 2: 3, 3: 7, 5: 2, 6: 2, 8: 1, 11: 1, 68: 1}
 
@@ -162,18 +164,38 @@ class TestLineages:
         assert parse_rows(out_tsv, "\t") == rows
 
     def test_huge_time_leaves_no_lines(self, capsys):
-        report = run_json(capsys, "lineages", "--m", "5", "--theta", "0.5", "--t", "1e308")
-        pairs = dict(map(tuple, report["pmf"]))
-        assert pairs[0] == 1.0
-        assert report["results"]["mean"] == 0.0
+        # at theta = 20 the decay exponent overflows to inf, the intended
+        # -inf log term; numpy must not warn about it on stderr.  pytest
+        # records warnings rather than printing them, so make them errors.
+        for theta in ("0.5", "20"):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                code, out, err = run_cli(
+                    capsys, "lineages", "--m", "5", "--theta", theta, "--t", "1e308"
+                )
+            assert (code, err) == (0, "")
+            report = json.loads(out)
+            pairs = dict(map(tuple, report["pmf"]))
+            assert pairs[0] == 1.0
+            assert report["results"]["mean"] == 0.0
 
-    @pytest.mark.parametrize("field", ["theta", "t"])
-    def test_infinite_parameter_is_usage_error(self, capsys, field):
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("theta", "inf", "theta must be finite"),
+            ("t", "inf", "t must be finite"),
+            # lgamma(theta) overflows above about 2.56e305
+            ("theta", "1e308", "theta must be below"),
+        ],
+        ids=["theta", "t", "theta-lgamma-overflow"],
+    )
+    def test_infinite_parameter_is_usage_error(self, capsys, field, value, message):
         argv = {"--m": "5", "--theta": "0.5", "--t": "1"}
-        argv[f"--{field}"] = "inf"
+        argv[f"--{field}"] = value
         code, out, err = run_cli(capsys, "lineages", *(a for kv in argv.items() for a in kv))
         assert code == 2
-        assert f"{field} must be finite" in err
+        assert message in err
+        assert "Traceback" not in err
         assert out == ""
 
     def test_missing_required_flag_is_usage_error(self, capsys):
@@ -421,6 +443,19 @@ def _loaded_after_cli_import(modules: tuple[str, ...]) -> list[str]:
     )
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.split()
+
+
+def test_parser_offers_exactly_the_public_commands():
+    parser = build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    assert list(sub.choices) == ["fit-theta", "lineages", "predict", "simulate", "discover"]
+
+
+def test_oracle_is_not_a_command(capsys):
+    with pytest.raises(SystemExit) as exc_info:
+        main(["oracle", "--statistic", "R"])
+    assert exc_info.value.code == 2
+    assert "invalid choice: 'oracle'" in capsys.readouterr().err
 
 
 def test_cli_import_leaves_scipy_out():

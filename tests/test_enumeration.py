@@ -9,10 +9,8 @@ from coalineage.enumeration import (
     enumerate_sequences,
     oracle_pmf,
     oracle_pmf_exact,
-    urn_forward_atom_counts,
-    urn_forward_sample,
 )
-from reference import signless_stirling1
+from reference import signless_stirling1, urn_forward_atom_counts, urn_forward_sample
 
 
 class TestEnumerateSequences:

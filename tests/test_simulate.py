@@ -1,4 +1,6 @@
+import concurrent.futures
 import math
+import os
 from itertools import combinations
 
 import numpy as np
@@ -250,6 +252,32 @@ class TestRunReplicates:
         for threads in (2, 3):
             parallel = run_replicates(SMALL, 1.7, 0.5, 300, master_seed=5, threads=threads)
             assert parallel == serial
+
+    @pytest.mark.parametrize("cores", [2, 1000])
+    def test_workers_capped_at_cores_and_jobs(self, monkeypatch, cores):
+        # the pool forks every worker it is asked for on its first submit;
+        # a recording stand-in forks nothing and runs the jobs in-process
+        asked = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                asked.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                return map(fn, jobs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(os, "cpu_count", lambda: cores)
+        serial = run_replicates(SMALL, 1.7, 0.5, 300, master_seed=5, threads=1)
+        assert run_replicates(SMALL, 1.7, 0.5, 300, master_seed=5, threads=100_000) == serial
+        # 2 cores bind at 2 workers; 1000 cores bind at the 300 one-replicate jobs
+        assert asked == [min(cores, 300)]
 
     def test_rejects_zero_replicates(self):
         with pytest.raises(ValueError):
