@@ -4,16 +4,18 @@ Given that an m-sample shows y surviving ancestral lines (or y lines with
 a single descendant), these functions give the law of the corresponding
 statistic once m' further individuals are drawn, the posterior over the
 population's own line count, and the one-extra-draw discovery
-probabilities.  Each predictive law has two routes: a mixture over the
-line-count posterior, whose weights are all positive (the production
-path), and the direct closed form, kept as a cross-check because its
-alternating sums cancel harder.
+probabilities.  The enlarged type count is the prior urn law shifted by y:
+the m' extra draws meet the n - y unseen lines like a fresh urn with
+innovation mass theta + m + y.  Each predictive law has two routes: a
+mixture over the line-count posterior, whose weights are all positive
+(the production path), and the direct closed form, kept as a cross-check
+because its alternating sums cancel harder.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -36,6 +38,9 @@ from .numerics import (
     signed_log_sums,
 )
 from .pmf import Pmf
+
+# uncached, so that a curve's rows do not evict n_posterior's likelihoods
+_r_pmf_uncached = r_pmf.__wrapped__
 
 __all__ = [
     "MARGINAL_FLOOR",
@@ -111,24 +116,12 @@ def cond_r_pmf(n: int, m: int, m_prime: int, y: int, theta: float) -> Pmf:
     """Law of the re-observed type count after m' extra draws, given y now.
 
     n old types seeded the urn and y of them appeared among the first m
-    draws.  The count never drops and can rise to at most min(n, y + m'),
-    one new old type per extra draw.  Every factor is positive, so the
-    entries are exponentiated directly.
+    draws.  The m' extra draws meet the n - y unseen ones like a fresh urn
+    with innovation mass theta + m + y, so the law is r_pmf(n - y, m',
+    theta + m + y) shifted up by y, with support y..min(n, y + m').
     """
     _validate_conditional_args(n, m, m_prime, y, theta, y_cap=min(n, m))
-    hi = min(n, y + m_prime)
-    log_denom = log_rising_factorial(theta + n + m, m_prime)
-    probs = np.empty(hi - y + 1)
-    for x in range(y, hi + 1):
-        d = x - y
-        probs[d] = math.exp(
-            math.lgamma(d + 1)
-            + log_binomial(n - y, d)
-            + log_binomial(m_prime, d)
-            + log_rising_factorial(theta + m + x, m_prime - d)
-            - log_denom
-        )
-    return Pmf.from_floats(probs, support_offset=y, context="enlarged type count")
+    return replace(_r_pmf_uncached(n - y, m_prime, theta + m + y), support_offset=y)
 
 
 @lru_cache(maxsize=32)

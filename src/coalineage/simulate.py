@@ -13,9 +13,11 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
+from .ancestral import ModelParams
 from .ewens import AllelicPartition
 
 __all__ = [
@@ -46,17 +48,14 @@ def simulate_block_process(
     summary reports the surviving weight and the size-1 block count at
     the horizon; both are 0 once the process absorbs.
     """
-    if not (theta > 0):
-        raise ValueError(f"theta must be positive, got {theta}")
-    if not (t_horizon >= 0):
-        raise ValueError(f"t_horizon must be nonnegative, got {t_horizon}")
+    ModelParams(theta, t_horizon)
     rng = np.random.default_rng(seed)
     spectrum = list(initial.spectrum)
     x = sum((l + 1) * c for l, c in enumerate(spectrum))
     clock = 0.0
     while x > 0:
-        rate = x * (x + theta - 1) / 2.0
-        clock += rng.exponential(1.0 / rate)
+        # death_rate's operand order: at x = 1, x + theta - 1 rounds to 0 for tiny theta
+        clock += rng.exponential(2.0 / (x * (x - 1 + theta)))
         if clock > t_horizon:
             break
         u = rng.random() * x
@@ -90,14 +89,9 @@ def default_threads() -> int:
     return os.cpu_count() or 1
 
 
-def _run_chunk(args) -> list[tuple[int, int, int]]:
-    spectrum, theta, t_horizon, master_seed, lo, hi = args
-    initial = AllelicPartition(spectrum)
-    out = []
-    for idx in range(lo, hi):
-        s = simulate_block_process(initial, theta, t_horizon, [master_seed, idx])
-        out.append((idx, s.d_total, s.d_singleton))
-    return out
+def _replicate(initial, theta, t_horizon, master_seed, idx) -> tuple[int, int]:
+    s = simulate_block_process(initial, theta, t_horizon, [master_seed, idx])
+    return s.d_total, s.d_singleton
 
 
 def run_replicates(
@@ -116,21 +110,15 @@ def run_replicates(
     """
     if n_replicates < 1:
         raise ValueError(f"n_replicates must be >= 1, got {n_replicates}")
+    ModelParams(theta, t_horizon)  # refuse bad parameters before any worker forks
     if threads is None:
         threads = default_threads()
     # the pool forks every worker it is given on its first submit
-    workers = min(threads, os.cpu_count() or 1)
-    spectrum = initial.spectrum
+    workers = min(threads, os.cpu_count() or 1, n_replicates)
+    run_one = partial(_replicate, initial, theta, t_horizon, master_seed)
     if workers <= 1 or n_replicates < 256:
-        rows = _run_chunk((spectrum, theta, t_horizon, master_seed, 0, n_replicates))
+        rows = map(run_one, range(n_replicates))
     else:
-        n_chunks = min(workers * 4, n_replicates)
-        bounds = np.linspace(0, n_replicates, n_chunks + 1, dtype=int)
-        jobs = [
-            (spectrum, theta, t_horizon, master_seed, int(lo), int(hi))
-            for lo, hi in zip(bounds[:-1], bounds[1:])
-            if hi > lo
-        ]
         # numpy imports numpy.random on first use; do it here, once, rather
         # than in every forked worker on every call
         import numpy.random  # noqa: F401
@@ -138,12 +126,10 @@ def run_replicates(
         # multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
-        rows = []
-        with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
-            for part in pool.map(_run_chunk, jobs):
-                rows.extend(part)
-        rows.sort(key=lambda r: r[0])
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            chunk = -(-n_replicates // (4 * workers))
+            rows = list(pool.map(run_one, range(n_replicates), chunksize=chunk))
     return [
         ReplicateSummary(d_total=d, d_singleton=s, seed=(master_seed, idx))
-        for idx, d, s in rows
+        for idx, (d, s) in enumerate(rows)
     ]

@@ -1,13 +1,15 @@
 """Reference implementations that only the tests use.
 
 Exact combinatorial counts, falling factorials and factorial moments give
-independent checks on the analytic laws.  The one-row signed sum, the
-per-entry gate, the row-by-row line-count series and the entry-by-entry
-frequency-level urn law are the references for the production block
-kernels and array gates.  The event-by-event block-process step and the
-death-process sampler are the oracles the production simulator is
-compared against.  The forward urn samplers draw from the law that the
-exact enumeration tabulates, so the two check each other.
+independent checks on the analytic laws.  The entry-by-entry enlarged
+type count is the reference for the shifted prior urn law.  The one-row
+signed sum, the per-entry gate, the row-by-row line-count series and the
+entry-by-entry frequency-level urn law are the references for the
+production block kernels and array gates.  The event-by-event
+block-process step and the death-process sampler are the oracles the
+production simulator is compared against.  The forward urn samplers draw
+from the law that the exact enumeration tabulates, so the two check each
+other.
 """
 
 from __future__ import annotations
@@ -214,6 +216,29 @@ def ancestral_values_by_row(params: ModelParams, rows: range) -> np.ndarray:
         lambda i: f"ancestral entry d_{rows[i]}",
         "t is too small for the series",
     )
+
+
+def cond_r_pmf_by_entry(n: int, m: int, m_prime: int, y: int, theta: float) -> Pmf:
+    """Enlarged type count, one product of positive factors per entry x.
+
+    Entry x = y + d is d! C(n-y,d) C(m',d) (theta+m+x)_(m'-d) / (theta+n+m)_m',
+    written out in the original urn's terms rather than as posterior.cond_r_pmf's
+    shifted r_pmf.
+    """
+    _validate_conditional_args(n, m, m_prime, y, theta, y_cap=min(n, m))
+    hi = min(n, y + m_prime)
+    log_denom = log_rising_factorial(theta + n + m, m_prime)
+    probs = np.empty(hi - y + 1)
+    for x in range(y, hi + 1):
+        d = x - y
+        probs[d] = math.exp(
+            math.lgamma(d + 1)
+            + log_binomial(n - y, d)
+            + log_binomial(m_prime, d)
+            + log_rising_factorial(theta + m + x, m_prime - d)
+            - log_denom
+        )
+    return Pmf.from_floats(probs, support_offset=y, context="enlarged type count")
 
 
 def factorial_moment_r(r: int, n: int, m: int, m_prime: int, y: int, theta: float) -> float:

@@ -365,6 +365,38 @@ class TestSimulate:
         assert code == 2
         assert "COALESCENT_THREADS" in err
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("theta", "inf", "theta must be finite"),
+            ("t", "inf", "t must be finite"),
+            ("theta", "1e308", "theta must be below"),
+        ],
+        ids=["theta", "t", "theta-lgamma-overflow"],
+    )
+    def test_non_finite_parameter_is_usage_error(self, capsys, field, value, message):
+        # the same parameter checks as lineages, predict and discover
+        argv = {"--theta": "0.5", "--t": "0.5"}
+        argv[f"--{field}"] = value
+        code, out, err = run_cli(
+            capsys, "simulate", "singh1976", *(a for kv in argv.items() for a in kv)
+        )
+        assert code == 2
+        assert message in err
+        assert "Traceback" not in err
+        assert out == ""
+
+    @pytest.mark.parametrize("theta", ["1e-300", "5e-324"])
+    def test_tiny_theta_coalesces_to_one_line(self, capsys, theta):
+        code, out, err = run_cli(
+            capsys, "simulate", "singh1976", "--theta", theta, "--t", "50",
+            "--replicates", "10",
+        )
+        assert (code, err) == (0, "")
+        report = json.loads(out)
+        assert report["results"]["d_total_mean"] == 1.0
+        assert report["histogram_d_total"] == [[0, 0], [1, 10]]
+
     def test_theta_and_fit_mutually_exclusive(self, capsys):
         with pytest.raises(SystemExit) as exc_info:
             main(["simulate", "singh1976", "--theta", "9.5", "--fit", "--t", "0.34"])

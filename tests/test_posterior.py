@@ -24,7 +24,7 @@ from coalineage.posterior import (
     predictive_lineage_pmf,
     predictive_singleton_pmf,
 )
-from reference import factorial_moment_r, factorial_moment_r_freq
+from reference import cond_r_pmf_by_entry, factorial_moment_r, factorial_moment_r_freq
 
 PARAMS = ModelParams(1.0, 0.5)
 
@@ -108,6 +108,21 @@ class TestCondR:
         np.testing.assert_allclose(pmf.probs.sum(), 1.0, atol=1e-11)
         assert pmf.support_offset == y
         assert len(pmf.probs) == min(n, y + m_prime) - y + 1
+
+    @pytest.mark.parametrize("theta", [1e-3, 0.5, 9.48, 20.0])
+    def test_matches_entry_by_entry_reference(self, theta):
+        # the shifted prior urn law against the per-entry product of the
+        # original urn's factors
+        for n in (0, 1, 5, 17, 40, 150):
+            for m in (1, 20, 146, 1000):
+                cap = min(n, m)
+                for m_prime in (0, 1, 50, 200):
+                    for y in sorted({0, 1, cap // 2, cap} & set(range(cap + 1))):
+                        got = cond_r_pmf(n, m, m_prime, y, theta)
+                        want = cond_r_pmf_by_entry(n, m, m_prime, y, theta)
+                        assert got.support_offset == want.support_offset == y
+                        assert len(got.probs) == len(want.probs) == min(n, y + m_prime) - y + 1
+                        np.testing.assert_allclose(got.probs, want.probs, rtol=0, atol=1e-12)
 
     def test_domain_checks(self):
         with pytest.raises(ValueError):

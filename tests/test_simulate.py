@@ -135,10 +135,12 @@ class TestSimulateBlockProcess:
         assert summary.d_singleton == 0
 
     def test_rejects_bad_arguments(self):
-        with pytest.raises(ValueError):
-            simulate_block_process(SMALL, 0.0, 1.0, 1)
-        with pytest.raises(ValueError):
-            simulate_block_process(SMALL, 1.0, -0.1, 1)
+        # what ModelParams refuses, for one replicate and for a pooled run
+        for theta, t in [(0.0, 1.0), (1.0, -0.1), (math.inf, 0.5), (1.0, math.inf), (1e308, 0.5)]:
+            with pytest.raises(ValueError):
+                simulate_block_process(SMALL, theta, t, 1)
+            with pytest.raises(ValueError):
+                run_replicates(SMALL, theta, t, 300, master_seed=1, threads=2)
 
     def test_weight_two_closed_form_both_shapes(self):
         # the weight law ignores the block layout: chain 2 -> 1 -> 0 with
@@ -269,7 +271,7 @@ class TestRunReplicates:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, jobs):
+            def map(self, fn, jobs, chunksize=1):
                 return map(fn, jobs)
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
@@ -278,6 +280,14 @@ class TestRunReplicates:
         assert run_replicates(SMALL, 1.7, 0.5, 300, master_seed=5, threads=100_000) == serial
         # 2 cores bind at 2 workers; 1000 cores bind at the 300 one-replicate jobs
         assert asked == [min(cores, 300)]
+
+    @pytest.mark.parametrize("theta", [1e-300, 5e-324])
+    def test_tiny_theta_ends_on_one_line(self, theta):
+        # the last line's exit rate theta/2 is tiny or rounds to 0, so by
+        # t = 50 every replicate has coalesced down to it and keeps it
+        part = AllelicPartition.from_dict({1: 10, 2: 3, 3: 7, 5: 2})
+        out = run_replicates(part, theta, 50.0, 40, master_seed=3, threads=1)
+        assert [(r.d_total, r.d_singleton) for r in out] == [(1, 1)] * 40
 
     def test_rejects_zero_replicates(self):
         with pytest.raises(ValueError):
