@@ -332,8 +332,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--threads",
         type=int,
         default=None,
-        help="worker processes, at most one per core (default: COALESCENT_THREADS "
-        "or all cores); does not affect the report",
+        help="accepted for compatibility (default: COALESCENT_THREADS or all cores); "
+        "replicates run in this process, so it does not affect the report",
     )
     p.set_defaults(func=cmd_simulate)
 

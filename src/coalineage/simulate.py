@@ -5,17 +5,20 @@ deletes one sample unit at a time, uniformly at random, with the waiting
 time at total weight x exponential of rate x(x+theta-1)/2.  The weight
 trajectory is exactly the sample's ancestral death process; the size-1
 block count tracks surviving alleles still represented by a single gene.
-Replicates use independent streams keyed (master_seed, replicate index),
-so results do not depend on how replicates are chunked across workers.
+Deletions ignore the layout, so a replicate draws the death level d and
+then a uniform d-subset of the m units, in the calling process.  It reads
+only ``random()``, whose sequence for a given seed Python keeps across
+versions, of its own ``random.Random`` keyed (master_seed, index).
 """
 
 from __future__ import annotations
 
+import operator
 import os
+import random
 from dataclasses import dataclass
-from functools import partial
-
-import numpy as np
+from itertools import takewhile
+from math import isfinite, log
 
 from .ancestral import ModelParams
 from .ewens import AllelicPartition
@@ -37,46 +40,62 @@ class ReplicateSummary:
     seed: object
 
 
+def _tables(
+    initial: AllelicPartition, theta: float, t_horizon: float
+) -> tuple[list[int], list[float]]:
+    """Class label per unit, and the holding-time scales at x = m, m-1, ..."""
+    ModelParams(theta, t_horizon)
+    sizes = initial.to_configuration().counts
+    labels = [cls for cls, size in enumerate(sizes) for _ in range(size)]
+    # death_rate's operand order: at x = 1, x + theta - 1 rounds to 0 for tiny theta
+    scales = [2.0 / (x * (x - 1 + theta)) for x in range(len(labels), 0, -1)]
+    # an infinite scale (x = 1, tiny theta) never dies; a zero draw times it is NaN
+    return labels, list(takewhile(isfinite, scales))
+
+
+def _stream_name(seed) -> str:
+    """Canonical name of a nonnegative int seed or a sequence of them, e.g. "11,7"."""
+    entries = [operator.index(s) for s in (seed if isinstance(seed, (list, tuple)) else [seed])]
+    if min(entries, default=0) < 0:
+        raise ValueError(f"seed entries must be nonnegative, got {seed!r}")
+    return ",".join(map(str, entries))
+
+
+def _replicate(labels: list, scales: list, t_horizon: float, stream: str) -> tuple[int, int]:
+    """(d_total, d_singleton) at the horizon, drawn from the stream named ``stream``."""
+    rnd = random.Random(stream).random
+    d = m = len(labels)
+    clock = 0.0
+    for scale in scales:
+        clock -= log(1.0 - rnd()) * scale
+        if clock > t_horizon:
+            break
+        d -= 1
+    # partial Fisher-Yates: survivor i is drawn from the units still in slots i..m-1
+    units, hits = labels.copy(), [0] * (labels[-1] + 1)
+    for i in range(d):
+        j = i + int(rnd() * (m - i))
+        hits[units[j]] += 1
+        units[j] = units[i]
+    return d, hits.count(1)
+
+
 def simulate_block_process(
     initial: AllelicPartition, theta: float, t_horizon: float, seed
 ) -> ReplicateSummary:
-    """Run the deletion process from an observed partition to a horizon.
+    """End state of the deletion process from an observed partition at a horizon.
 
-    Each event draws the exponential holding time at rate x(x+theta-1)/2,
-    then removes one unit chosen uniformly among the x survivors (a block
-    of size l loses a unit with probability l * spectrum[l-1] / x).  The
-    summary reports the surviving weight and the size-1 block count at
-    the horizon; both are 0 once the process absorbs.
+    Surviving weight and size-1 block count, both 0 once the process
+    absorbs.  ``seed`` is a nonnegative int or a sequence of them;
+    ``[s, i]`` gives replicate i of ``run_replicates`` with master seed s.
     """
-    ModelParams(theta, t_horizon)
-    rng = np.random.default_rng(seed)
-    spectrum = list(initial.spectrum)
-    x = sum((l + 1) * c for l, c in enumerate(spectrum))
-    clock = 0.0
-    while x > 0:
-        # death_rate's operand order: at x = 1, x + theta - 1 rounds to 0 for tiny theta
-        clock += rng.exponential(2.0 / (x * (x - 1 + theta)))
-        if clock > t_horizon:
-            break
-        u = rng.random() * x
-        hit = -1
-        for l0 in range(len(spectrum)):
-            u -= (l0 + 1) * spectrum[l0]
-            if u < 0:
-                hit = l0
-                break
-        if hit < 0:
-            hit = max(i for i, c in enumerate(spectrum) if c > 0)
-        spectrum[hit] -= 1
-        if hit > 0:
-            spectrum[hit - 1] += 1
-        x -= 1
+    labels, scales = _tables(initial, theta, t_horizon)
     key = tuple(seed) if isinstance(seed, (list, tuple)) else seed
-    return ReplicateSummary(d_total=x, d_singleton=spectrum[0] if spectrum else 0, seed=key)
+    return ReplicateSummary(*_replicate(labels, scales, t_horizon, _stream_name(seed)), key)
 
 
 def default_threads() -> int:
-    """Worker count: COALESCENT_THREADS if set, else the machine's cores."""
+    """Nominal thread count: COALESCENT_THREADS if set, else the machine's cores."""
     env = os.environ.get("COALESCENT_THREADS")
     if env is not None:
         try:
@@ -89,11 +108,6 @@ def default_threads() -> int:
     return os.cpu_count() or 1
 
 
-def _replicate(initial, theta, t_horizon, master_seed, idx) -> tuple[int, int]:
-    s = simulate_block_process(initial, theta, t_horizon, [master_seed, idx])
-    return s.d_total, s.d_singleton
-
-
 def run_replicates(
     initial: AllelicPartition,
     theta: float,
@@ -104,32 +118,17 @@ def run_replicates(
 ) -> list[ReplicateSummary]:
     """Independent replicates of the block process, in index order.
 
-    Replicate i uses the stream keyed [master_seed, i] regardless of the
-    worker layout, so any thread count produces the same summaries.  No
-    more worker processes start than there are cores.
+    Replicate i equals ``simulate_block_process(..., [master_seed, i])``.
+    ``threads`` is accepted for compatibility and changes nothing:
+    replicates run one after another in this process.
     """
     if n_replicates < 1:
         raise ValueError(f"n_replicates must be >= 1, got {n_replicates}")
-    ModelParams(theta, t_horizon)  # refuse bad parameters before any worker forks
     if threads is None:
-        threads = default_threads()
-    # the pool forks every worker it is given on its first submit
-    workers = min(threads, os.cpu_count() or 1, n_replicates)
-    run_one = partial(_replicate, initial, theta, t_horizon, master_seed)
-    if workers <= 1 or n_replicates < 256:
-        rows = map(run_one, range(n_replicates))
-    else:
-        # numpy imports numpy.random on first use; do it here, once, rather
-        # than in every forked worker on every call
-        import numpy.random  # noqa: F401
-        # imported here so that importing the package does not load
-        # multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunk = -(-n_replicates // (4 * workers))
-            rows = list(pool.map(run_one, range(n_replicates), chunksize=chunk))
+        default_threads()  # still refuses a malformed COALESCENT_THREADS
+    labels, scales = _tables(initial, theta, t_horizon)
+    master = _stream_name(master_seed)
     return [
-        ReplicateSummary(d_total=d, d_singleton=s, seed=(master_seed, idx))
-        for idx, (d, s) in enumerate(rows)
+        ReplicateSummary(*_replicate(labels, scales, t_horizon, f"{master},{i}"), (master_seed, i))
+        for i in range(n_replicates)
     ]

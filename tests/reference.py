@@ -5,11 +5,11 @@ independent checks on the analytic laws.  The entry-by-entry enlarged
 type count is the reference for the shifted prior urn law.  The one-row
 signed sum, the per-entry gate, the row-by-row line-count series and the
 entry-by-entry frequency-level urn law are the references for the
-production block kernels and array gates.  The event-by-event
-block-process step and the death-process sampler are the oracles the
-production simulator is compared against.  The forward urn samplers draw
-from the law that the exact enumeration tabulates, so the two check each
-other.
+production block kernels and array gates.  The block-process step, the
+event-by-event block process and the death-process sampler are the
+oracles the factored production simulator is compared against.  The
+forward urn samplers draw from the law that the exact enumeration
+tabulates, so the two check each other.
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ from coalineage.numerics import (
 )
 from coalineage.pmf import Pmf
 from coalineage.posterior import _validate_conditional_args
+from coalineage.simulate import ReplicateSummary
 
 
 MAX_STIRLING_N = 30
@@ -387,6 +388,46 @@ def step_block_process(
     if l0 > 0:
         spectrum[l0 - 1] += 1
     return holding, BlockState(tuple(spectrum))
+
+
+def simulate_block_process_by_event(
+    initial: AllelicPartition, theta: float, t_horizon: float, seed
+) -> ReplicateSummary:
+    """Event-by-event run of the deletion process to a horizon.
+
+    Each event draws the exponential holding time at rate x(x+theta-1)/2,
+    then removes one unit chosen uniformly among the x survivors (a block
+    of size l loses a unit with probability l * spectrum[l-1] / x).  The
+    summary reports the surviving weight and the size-1 block count at
+    the horizon; both are 0 once the process absorbs.  The oracle for the
+    factored simulator in coalineage.simulate, which draws the same end
+    state in one pass.
+    """
+    ModelParams(theta, t_horizon)
+    rng = np.random.default_rng(seed)
+    spectrum = list(initial.spectrum)
+    x = sum((l + 1) * c for l, c in enumerate(spectrum))
+    clock = 0.0
+    while x > 0:
+        # death_rate's operand order: at x = 1, x + theta - 1 rounds to 0 for tiny theta
+        clock += rng.exponential(2.0 / (x * (x - 1 + theta)))
+        if clock > t_horizon:
+            break
+        u = rng.random() * x
+        hit = -1
+        for l0 in range(len(spectrum)):
+            u -= (l0 + 1) * spectrum[l0]
+            if u < 0:
+                hit = l0
+                break
+        if hit < 0:
+            hit = max(i for i, c in enumerate(spectrum) if c > 0)
+        spectrum[hit] -= 1
+        if hit > 0:
+            spectrum[hit - 1] += 1
+        x -= 1
+    key = tuple(seed) if isinstance(seed, (list, tuple)) else seed
+    return ReplicateSummary(d_total=x, d_singleton=spectrum[0] if spectrum else 0, seed=key)
 
 
 def simulate_death_process(start_n: int, theta: float, t_horizon: float, seed) -> int:

@@ -1,12 +1,18 @@
 import concurrent.futures
 import math
 import os
+import subprocess
+import sys
+from collections import Counter
 from itertools import combinations
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from scipy.stats import chisquare
+from scipy.stats import chi2_contingency, chisquare
 
+from coalineage import simulate
 from coalineage.ancestral import ModelParams, lineage_pmf, singleton_lineage_pmf
 from coalineage.ewens import AllelicPartition
 from coalineage.simulate import (
@@ -15,7 +21,12 @@ from coalineage.simulate import (
     run_replicates,
     simulate_block_process,
 )
-from reference import BlockState, simulate_death_process, step_block_process
+from reference import (
+    BlockState,
+    simulate_block_process_by_event,
+    simulate_death_process,
+    step_block_process,
+)
 
 SMALL = AllelicPartition.from_dict({1: 2, 2: 1})  # classes of size 1, 1, 2
 
@@ -119,7 +130,7 @@ class TestStepBlockProcess:
 class TestSimulateBlockProcess:
     def test_matches_step_driven_reference(self):
         for seed in range(25):
-            summary = simulate_block_process(SMALL, 1.7, 0.5, [41, seed])
+            summary = simulate_block_process_by_event(SMALL, 1.7, 0.5, [41, seed])
             assert (summary.d_total, summary.d_singleton) == reference_trajectory(
                 SMALL, 1.7, 0.5, [41, seed]
             )
@@ -128,6 +139,20 @@ class TestSimulateBlockProcess:
         summary = simulate_block_process(SMALL, 1.7, 0.0, 3)
         assert summary.d_total == 4
         assert summary.d_singleton == 2
+
+    def test_zero_draw_at_infinite_scale_is_no_death(self, monkeypatch):
+        # at x = 1 with theta = 5e-324 the holding-time scale overflows to
+        # inf, and a draw of exactly 0 would make that holding time NaN
+        class ZeroStream:
+            def __init__(self, seed):
+                pass
+
+            def random(self):
+                return 0.0
+
+        monkeypatch.setattr(simulate, "random", SimpleNamespace(Random=ZeroStream))
+        summary = simulate_block_process(AllelicPartition.from_dict({1: 3}), 5e-324, 50.0, 0)
+        assert (summary.d_total, summary.d_singleton) == (1, 1)
 
     def test_long_horizon_absorbs(self):
         summary = simulate_block_process(SMALL, 1.7, 500.0, 3)
@@ -190,6 +215,28 @@ class TestSimulateBlockProcess:
             counts[index[(s.d_total, s.d_singleton)]] += 1
         pvalue = pooled_chisquare(counts, [exact[k] for k in keys], reps)
         assert pvalue > 1e-3
+
+    @pytest.mark.parametrize("t", [0.05, 0.34])
+    def test_joint_law_matches_event_by_event_oracle(self, t):
+        # two-sample chi-square of the joint (d_total, d_singleton) law;
+        # at t = 0.05 the series refuses, so the simulator is the fallback
+        part = AllelicPartition.from_dict({1: 10, 2: 3, 3: 7, 5: 2})
+        theta, reps = 9.5, 4000
+        fast = run_replicates(part, theta, t, reps, master_seed=29)
+        oracle = (simulate_block_process_by_event(part, theta, t, [31, r]) for r in range(reps))
+        factored = Counter((s.d_total, s.d_singleton) for s in fast)
+        by_event = Counter((s.d_total, s.d_singleton) for s in oracle)
+        # cells with fewer than 10 draws over both samples pool into one
+        keys = sorted(set(factored) | set(by_event))
+        solo = [k for k in keys if factored[k] + by_event[k] >= 10]
+        table = [
+            [c[k] for k in solo] + [sum(c[k] for k in keys if k not in solo)]
+            for c in (factored, by_event)
+        ]
+        if table[0][-1] + table[1][-1] == 0:
+            table = [row[:-1] for row in table]
+        assert len(table[0]) >= 5
+        assert chi2_contingency(table).pvalue > 1e-3
 
 
 class TestMarkedDeathConsistency:
@@ -256,30 +303,35 @@ class TestRunReplicates:
             assert parallel == serial
 
     @pytest.mark.parametrize("cores", [2, 1000])
-    def test_workers_capped_at_cores_and_jobs(self, monkeypatch, cores):
-        # the pool forks every worker it is asked for on its first submit;
-        # a recording stand-in forks nothing and runs the jobs in-process
-        asked = []
+    def test_never_starts_a_pool(self, monkeypatch, cores):
+        # whatever the thread count and core count, replicates run in this
+        # process; a pool stand-in fails the test if anything builds one
+        class NoPool:
+            def __init__(self, *args, **kwargs):
+                raise AssertionError("run_replicates started a process pool")
 
-        class RecordingPool:
-            def __init__(self, max_workers):
-                asked.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, jobs, chunksize=1):
-                return map(fn, jobs)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", NoPool)
         monkeypatch.setattr(os, "cpu_count", lambda: cores)
         serial = run_replicates(SMALL, 1.7, 0.5, 300, master_seed=5, threads=1)
         assert run_replicates(SMALL, 1.7, 0.5, 300, master_seed=5, threads=100_000) == serial
-        # 2 cores bind at 2 workers; 1000 cores bind at the 300 one-replicate jobs
-        assert asked == [min(cores, 300)]
+
+    def test_loads_neither_numpy_random_nor_a_pool(self):
+        # numpy.random alone costs about 5 MB of resident memory
+        modules = ("numpy.random", "multiprocessing", "concurrent.futures.process")
+        probe = (
+            "import sys\n"
+            "from coalineage import AllelicPartition, run_replicates\n"
+            "start = AllelicPartition.from_dict({1: 10, 3: 2})\n"
+            "run_replicates(start, 9.5, 0.34, 300, 0, threads=4)\n"
+            f"print(*[m for m in {modules!r} if m in sys.modules])"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", probe],
+            capture_output=True, text=True, timeout=120,
+            env=dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src")),
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == []
 
     @pytest.mark.parametrize("theta", [1e-300, 5e-324])
     def test_tiny_theta_ends_on_one_line(self, theta):
