@@ -21,7 +21,13 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import NumericalConditioningError
-from .numerics import SignedLogValue, log_gamma_table, reliable_values, signed_log_sums
+from .numerics import (
+    SignedLogValue,
+    _require_theta,
+    log_gamma_table,
+    reliable_values,
+    signed_log_sums,
+)
 from .pmf import Pmf
 
 __all__ = [
@@ -55,21 +61,16 @@ class ModelParams:
     t: float
 
     def __post_init__(self):
-        if not (self.theta > 0.0):
-            raise ValueError(f"theta must be positive, got {self.theta}")
+        _require_theta(self.theta)
         if not (self.t >= 0.0):
             raise ValueError(f"t must be nonnegative, got {self.t}")
-        for name, value in (("theta", self.theta), ("t", self.t)):
-            if math.isinf(value):
-                raise ValueError(f"{name} must be finite, got {value}")
-        try:
-            # every law reads lgamma(theta + k) from the log-gamma tables
-            math.lgamma(self.theta)
-        except OverflowError:
-            raise ValueError(
-                f"theta must be below about 2.56e305, where lgamma(theta) "
-                f"overflows, got {self.theta}"
-            ) from None
+        if math.isinf(self.t):
+            raise ValueError(f"t must be finite, got {self.t}")
+
+
+def _require_method(method: str) -> None:
+    if method not in ("mixture", "closed"):
+        raise ValueError(f"method must be 'mixture' or 'closed', got {method!r}")
 
 
 def death_rate(n: int, theta: float) -> float:
@@ -83,8 +84,9 @@ def rho(i: int, params: ModelParams) -> SignedLogValue:
     """Signed coefficient (-1)^i (2i-1+theta) exp(-t i(i-1+theta)/2), i >= 1."""
     if i < 1:
         raise ValueError(f"rho is defined for i >= 1, got {i}")
-    theta = params.theta
-    log_mag = math.log(2 * i - 1 + theta) - death_rate(i, theta) * params.t
+    log_mag = float(_log_abs_rho(i, params))
+    if log_mag == -math.inf:  # the decay underflowed: an exact zero
+        return SignedLogValue(0, log_mag)
     return SignedLogValue(-1 if i % 2 else 1, log_mag)
 
 
@@ -324,8 +326,7 @@ def r_pmf(n: int, m: int, theta: float) -> Pmf:
     """
     if n < 0 or m < 0:
         raise ValueError("n and m must be nonnegative")
-    if not (theta > 0):
-        raise ValueError(f"theta must be positive, got {theta}")
+    _require_theta(theta)
     hi = min(n, m)
     # lgamma only where it is read: k!, (n-k)!, (m-k)! and Gamma(theta+k), k = 0..hi
     log_fact = log_gamma_table(1.0, hi + 1)
@@ -348,8 +349,8 @@ def _freq_row_pmf(
     l: int, n: int, m: int, log_fact: np.ndarray, log_gamma: np.ndarray
 ) -> Pmf:
     """r_freq_pmf(l, n, m, theta) from tables log_fact[k] = log k! and
-    log_gamma[k] = lgamma(theta + k), read only at the indices that
-    _freq_tables evaluates.
+    log_gamma[k] = lgamma(theta + k), as _freq_tables(l, n_hi, m, theta)
+    builds them for any n_hi >= n; it reads only entries they evaluate.
 
     Entry x sums over i = x..min(n, m // l) with sign (-1)^(i-x); all
     entries come from one (x, i) block, padded with -inf below i = x, and
@@ -377,23 +378,18 @@ def _freq_row_pmf(
     )
 
 
-def _freq_tables(l: int, ns, m: int, theta: float) -> tuple[np.ndarray, np.ndarray]:
-    """The log_fact and log_gamma tables of _freq_row_pmf for the rows n in ns.
+def _freq_tables(l: int, n_hi: int, m: int, theta: float) -> tuple[np.ndarray, np.ndarray]:
+    """The log_fact and log_gamma tables of _freq_row_pmf for every row n <= n_hi.
 
     Row n reads log k! at k <= n and k = m - il, and lgamma(theta + k) at
-    k <= n and k = n + m - i(1+l), for i <= min(n, m // l); only those
-    entries are evaluated.
+    k <= n and k = n + m - i(1+l), for i <= min(n, m // l).  Each table
+    evaluates two index ranges that cover them: k <= n_hi, and k from
+    m - l min(n_hi, m // l) up to m (log k!) or n_hi + m (lgamma).
     """
-    n_hi = max(ns)
-    low = np.arange(n_hi + 1)
-    far_fact, far_gamma = [], []
-    for n in ns:
-        i = np.arange(min(n, m // l) + 1)
-        far_fact.append(m - i * l)
-        far_gamma.append(n + m - i * (1 + l))
+    far = m - l * min(n_hi, m // l)
     return (
-        log_gamma_table(1.0, max(n_hi, m) + 1, np.concatenate([low, *far_fact])),
-        log_gamma_table(theta, n_hi + m + 1, np.concatenate([low, *far_gamma])),
+        log_gamma_table(1.0, max(n_hi, m) + 1, np.r_[: n_hi + 1, far : m + 1]),
+        log_gamma_table(theta, n_hi + m + 1, np.r_[: n_hi + 1, far : n_hi + m + 1]),
     )
 
 
@@ -409,9 +405,8 @@ def r_freq_pmf(l: int, n: int, m: int, theta: float) -> Pmf:
         raise ValueError(f"l must be >= 1, got {l}")
     if n < 0 or m < 0:
         raise ValueError("n and m must be nonnegative")
-    if not (theta > 0):
-        raise ValueError(f"theta must be positive, got {theta}")
-    return _freq_row_pmf(l, n, m, *_freq_tables(l, [n], m, theta))
+    _require_theta(theta)
+    return _freq_row_pmf(l, n, m, *_freq_tables(l, n, m, theta))
 
 
 def _singleton_closed_entries(
@@ -485,8 +480,7 @@ def singleton_lineage_pmf(m: int, params: ModelParams, method: str = "mixture") 
     """
     if m < 0:
         raise ValueError(f"m must be nonnegative, got {m}")
-    if method not in ("mixture", "closed"):
-        raise ValueError(f"method must be 'mixture' or 'closed', got {method!r}")
+    _require_method(method)
     if params.t == 0.0:
         raise ValueError("the ancestral line count starts at infinity; t must be > 0")
     if method == "closed":
@@ -497,15 +491,8 @@ def singleton_lineage_pmf(m: int, params: ModelParams, method: str = "mixture") 
             sums[:, 0], log_peaks[:, 0], 0, context="singleton ancestor count"
         )
     weights = _ancestral_values(params, None)
-    top = len(weights) - 1
-    # one table pair serves every row n = 0..top
-    log_fact, log_gamma = _freq_tables(1, range(top + 1), m, params.theta)
-    probs = np.zeros(m + 1)
-    for n, w in enumerate(weights):
-        if w == 0.0:
-            continue
-        inner = _freq_row_pmf(1, n, m, log_fact, log_gamma)
-        probs[: len(inner.probs)] += w * inner.probs
-    return Pmf.from_floats(
-        probs, 0, renormalize=True, context="singleton ancestor count"
+    # one table pair serves every row n
+    tables = _freq_tables(1, len(weights) - 1, m, params.theta)
+    return Pmf.from_mixture(
+        weights, lambda n: _freq_row_pmf(1, n, m, *tables), 0, m + 1, "singleton ancestor count"
     )

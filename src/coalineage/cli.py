@@ -144,6 +144,12 @@ def cmd_lineages(args) -> dict:
     return report
 
 
+def _discovery(mode: str, m: int, y: int, params: ModelParams, method: str = "mixture"):
+    if mode == "total":
+        return "gt_new_lineage_prob", gt_new_lineage_prob(m, y, params)
+    return "gt_singleton_prob", gt_singleton_prob(m, y, params, method=method)
+
+
 def cmd_predict(args) -> dict:
     params = ModelParams(theta=args.theta, t=args.t)
     query = PredictiveQuery(m=args.m, m_prime=args.m_prime, y=args.y, params=params)
@@ -168,14 +174,8 @@ def cmd_predict(args) -> dict:
     if args.m_prime == 1:
         # the one-extra-draw discovery probabilities live on this pmf;
         # surface them next to it (the discover command returns the same)
-        if args.mode == "total":
-            report["results"]["gt_new_lineage_prob"] = gt_new_lineage_prob(
-                args.m, args.y, params
-            )
-        else:
-            report["results"]["gt_singleton_prob"] = gt_singleton_prob(
-                args.m, args.y, params, method=args.method
-            )
+        key, value = _discovery(args.mode, args.m, args.y, params, args.method)
+        report["results"][key] = value
     return report
 
 
@@ -233,10 +233,7 @@ def cmd_simulate(args) -> dict:
 
 def cmd_discover(args) -> dict:
     params = ModelParams(theta=args.theta, t=args.t)
-    if args.mode == "total":
-        key, value = "gt_new_lineage_prob", gt_new_lineage_prob(args.m, args.y, params)
-    else:
-        key, value = "gt_singleton_prob", gt_singleton_prob(args.m, args.y, params)
+    key, value = _discovery(args.mode, args.m, args.y, params)
     return {
         "command": "discover",
         "params": {

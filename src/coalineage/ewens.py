@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalConditioningError
-from .numerics import log_rising_factorial
+from .numerics import _require_theta, log_rising_factorial
 
 __all__ = [
     "AlleleConfiguration",
@@ -109,8 +109,7 @@ def esf_log_prob(config: AlleleConfiguration | AllelicPartition, theta: float) -
     Summing exp of this over all set partitions of m items (i.e. times
     m! / (prod n_i! prod a_l!) per frequency spectrum) gives 1.
     """
-    if not (theta > 0):
-        raise ValueError(f"theta must be positive, got {theta}")
+    _require_theta(theta)
     if isinstance(config, AllelicPartition):
         config = config.to_configuration()
     k, m = config.k, config.m

@@ -80,6 +80,19 @@ class SignedLogValue:
         return SignedLogValue(sign, self.log_magnitude + other.log_magnitude)
 
 
+def _require_theta(theta: float) -> None:
+    if not (theta > 0.0):
+        raise ValueError(f"theta must be positive, got {theta}")
+    if math.isinf(theta):
+        raise ValueError(f"theta must be finite, got {theta}")
+    try:
+        math.lgamma(theta)
+    except OverflowError:
+        raise ValueError(
+            f"theta must be below about 2.56e305, where lgamma(theta) overflows, got {theta}"
+        ) from None
+
+
 def log_gamma_table(base: float, size: int, at=None) -> np.ndarray:
     """lgamma(base + k) for k = 0..size-1.
 

@@ -123,10 +123,24 @@ class Pmf:
         return cls._mass_checked(values, support_offset, renormalize, context)
 
     @classmethod
+    def from_mixture(cls, weights, component, support_offset, size, context) -> "Pmf":
+        """The law sum_n weights[n] component(n), with size entries from support_offset.
+
+        Levels of zero weight are skipped; the rest are added in increasing n, each into
+        the slice where its own support lies, and the total is checked by from_floats.
+        """
+        probs = np.zeros(size)
+        for n in np.flatnonzero(weights).tolist():
+            law = component(n)
+            lo = law.support_offset - support_offset
+            probs[lo : lo + len(law.probs)] += weights[n] * law.probs
+        return cls.from_floats(probs, support_offset, context=context)
+
+    @classmethod
     def _mass_checked(cls, values, support_offset, renormalize, context) -> "Pmf":
         total = float(values.sum())
         defect = abs(1.0 - total)
-        if defect > MASS_TOLERANCE:
+        if not defect <= MASS_TOLERANCE:  # a nan defect is refused too
             raise NumericalConditioningError(
                 f"{context}: mass defect {defect:.3e} exceeds {MASS_TOLERANCE:.0e}"
             )

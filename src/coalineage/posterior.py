@@ -16,13 +16,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
 from .ancestral import (
     ModelParams,
     _ancestral_values,
+    _require_method,
     _singleton_closed_entries,
     lineage_pmf,
     r_freq_pmf,
@@ -31,6 +32,7 @@ from .ancestral import (
 )
 from .errors import NumericalConditioningError
 from .numerics import (
+    _require_theta,
     log_binomial,
     log_gamma_table,
     log_rising_factorial,
@@ -66,6 +68,13 @@ def _conditioning_mass(p: float, event: str) -> float:
             f"conditioning event has negligible mass: {event} ~ {p:.2e}"
         )
     return p
+
+
+def _require_observed(m: int, y: int) -> None:
+    if m < 1:
+        raise ValueError(f"m must be >= 1, got {m}")
+    if not 0 <= y <= m:
+        raise ValueError(f"y must be in [0, {m}], got {y}")
 
 
 def _require_count(value, name: str) -> int:
@@ -106,8 +115,7 @@ class PredictiveQuery:
 def _validate_conditional_args(n, m, m_prime, y, theta, *, y_cap):
     if n < 0 or m < 0 or m_prime < 0:
         raise ValueError("n, m, and m_prime must be nonnegative")
-    if not (theta > 0):
-        raise ValueError(f"theta must be positive, got {theta}")
+    _require_theta(theta)
     if not 0 <= y <= y_cap:
         raise ValueError(f"y = {y} is outside the feasible range [0, {y_cap}]")
 
@@ -176,20 +184,12 @@ def n_posterior(m: int, y: int, params: ModelParams, mode: str = "total") -> Pmf
     """
     if mode not in ("total", "singleton"):
         raise ValueError(f"mode must be 'total' or 'singleton', got {mode!r}")
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
-    if not 0 <= y <= m:
-        raise ValueError(f"y must be in [0, {m}], got {y}")
+    _require_observed(m, y)
+    likelihood = r_pmf if mode == "total" else partial(r_freq_pmf, 1)
     values = _ancestral_values(params, None)
     weights = np.zeros(len(values))
-    for n, d_n in enumerate(values):
-        if d_n == 0.0:
-            continue
-        if mode == "total":
-            likelihood = r_pmf(n, m, params.theta).prob(y)
-        else:
-            likelihood = r_freq_pmf(1, n, m, params.theta).prob(y)
-        weights[n] = d_n * likelihood
+    for n in np.flatnonzero(values).tolist():
+        weights[n] = values[n] * likelihood(n, m, params.theta).prob(y)
     marginal = _conditioning_mass(
         float(weights.sum()), f"the observed statistic {y} at t = {params.t:g} has probability"
     )
@@ -211,8 +211,7 @@ def predictive_lineage_pmf(query: PredictiveQuery, method: str = "mixture") -> P
     rounding; the mixture is the default because its weights are
     positive.
     """
-    if method not in ("mixture", "closed"):
-        raise ValueError(f"method must be 'mixture' or 'closed', got {method!r}")
+    _require_method(method)
     m, m_prime, y, params = query.m, query.m_prime, query.y, query.params
     if m == 0:
         return lineage_pmf(m_prime, params)
@@ -223,14 +222,13 @@ def predictive_lineage_pmf(query: PredictiveQuery, method: str = "mixture") -> P
         _conditioning_mass(lineage_pmf(m, params).prob(y), f"P[line count = {y}]")
         return _point_mass(m + m_prime)
     if method == "mixture":
-        posterior = n_posterior(m, y, params, mode="total")
-        probs = np.zeros(m_prime + 1)
-        for n, w in posterior.items():
-            if w == 0.0:
-                continue
-            for x, p in cond_r_pmf(n, m, m_prime, y, params.theta).items():
-                probs[x - y] += w * p
-        return Pmf.from_floats(probs, support_offset=y, context="enlarged line count")
+        return Pmf.from_mixture(
+            n_posterior(m, y, params, mode="total").probs,
+            lambda n: cond_r_pmf(n, m, m_prime, y, params.theta),
+            y,
+            m_prime + 1,
+            context="enlarged line count",
+        )
     base_prob = _conditioning_mass(lineage_pmf(m, params).prob(y), f"P[line count = {y}]")
     enlarged = lineage_pmf(m + m_prime, params)
     theta = params.theta
@@ -273,22 +271,20 @@ def predictive_singleton_pmf(query: PredictiveQuery, method: str = "mixture") ->
     whose line-count series runs to m + m': the extra-draw factor keeps
     the last m' difference orders alive past the marginal's cutoff at m.
     """
-    if method not in ("mixture", "closed"):
-        raise ValueError(f"method must be 'mixture' or 'closed', got {method!r}")
+    _require_method(method)
     m, m_prime, y, params = query.m, query.m_prime, query.y, query.params
     if m == 0 or m_prime == 0:
         # nothing observed, or nothing further drawn: no singleton is hit
         return _point_mass(0)
     theta = params.theta
     if method == "mixture":
-        posterior = n_posterior(m, y, params, mode="singleton")
-        probs = np.zeros(min(y, m_prime) + 1)
-        for n, w in posterior.items():
-            if w == 0.0:
-                continue
-            for x, p in cond_r_freq_pmf(1, n, m, m_prime, y, theta).items():
-                probs[x] += w * p
-        return Pmf.from_floats(probs, support_offset=0, context="hit singleton count")
+        return Pmf.from_mixture(
+            n_posterior(m, y, params, mode="singleton").probs,
+            lambda n: cond_r_freq_pmf(1, n, m, m_prime, y, theta),
+            0,
+            min(y, m_prime) + 1,
+            context="hit singleton count",
+        )
     marginal = _conditioning_mass(
         singleton_lineage_pmf(m, params).prob(y), f"P[singleton count = {y}]"
     )
@@ -321,10 +317,7 @@ def gt_new_lineage_prob(m: int, y: int, params: ModelParams) -> float:
     A ratio of neighbouring line-count laws; equals the mass the m' = 1
     predictive law puts on y + 1.
     """
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
-    if not 0 <= y <= m:
-        raise ValueError(f"y must be in [0, {m}], got {y}")
+    _require_observed(m, y)
     p_y = _conditioning_mass(lineage_pmf(m, params).prob(y), f"P[line count = {y}]")
     p_up = lineage_pmf(m + 1, params).prob(y + 1)
     theta = params.theta
@@ -339,12 +332,8 @@ def gt_singleton_prob(m: int, y: int, params: ModelParams, method: str = "mixtur
     line-count posterior; the closed route evaluates the direct
     alternating representation, whose line-count series runs to m + 1.
     """
-    if method not in ("mixture", "closed"):
-        raise ValueError(f"method must be 'mixture' or 'closed', got {method!r}")
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
-    if not 0 <= y <= m:
-        raise ValueError(f"y must be in [0, {m}], got {y}")
+    _require_method(method)
+    _require_observed(m, y)
     if y == 0:
         return 0.0
     theta = params.theta

@@ -31,7 +31,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ReplicateSummary:
     """End state of one replicate: surviving weight, size-1 blocks, stream key."""
 

@@ -23,7 +23,8 @@ from coalineage.ancestral import (
 )
 from coalineage.enumeration import enumerate_sequences, oracle_pmf_exact
 from coalineage.errors import NumericalConditioningError
-from coalineage.numerics import log_gamma_table, reliable_values
+from coalineage.ewens import AlleleConfiguration, esf_log_prob
+from coalineage.numerics import SignedLogValue, log_gamma_table, reliable_values
 from coalineage.pmf import Pmf
 
 from reference import (
@@ -72,12 +73,39 @@ class TestDeathRateAndRho:
         r2 = rho(2, params)
         assert r2.sign == 1
         np.testing.assert_allclose(r2.value, 4.0 * math.exp(-1.0), rtol=1e-14)
+        # a decay that overflows is an exact zero, as in the kernels, where
+        # the same parameters give the sample law P[0] = 1
+        huge = ModelParams(20.0, 1e308)
+        assert rho(2, huge) == SignedLogValue(0, -math.inf)
+        assert lineage_pmf(5, huge).prob(0) == 1.0
 
     def test_rho_domain(self):
         with pytest.raises(ValueError):
             rho(0, ModelParams(1.0, 0.5))
         with pytest.raises(ValueError):
             death_rate(-1, 1.0)
+
+
+@pytest.mark.parametrize("theta", [math.inf, 1e306], ids=["inf", "lgamma-overflow"])
+@pytest.mark.parametrize(
+    "law",
+    [
+        lambda theta: r_pmf(3, 5, theta),
+        lambda theta: r_freq_pmf(1, 3, 5, theta),
+        lambda theta: posterior.cond_r_pmf(3, 5, 2, 1, theta),
+        lambda theta: posterior.cond_r_freq_pmf(1, 3, 5, 2, 1, theta),
+        lambda theta: esf_log_prob(AlleleConfiguration((2, 1)), theta),
+    ],
+    ids=["r_pmf", "r_freq_pmf", "cond_r_pmf", "cond_r_freq_pmf", "esf_log_prob"],
+)
+def test_raw_theta_refused_like_model_params(law, theta):
+    # the same gate as ModelParams: no nan law, no bare OverflowError
+    with pytest.raises(ValueError, match="theta must be"):
+        ModelParams(theta, 0.5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="theta must be"):
+            law(theta)
 
 
 class TestAncestralPmf:

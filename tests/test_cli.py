@@ -319,7 +319,7 @@ class TestSimulate:
         assert csv_first == csv_second
 
     def test_thread_count_does_not_change_report(self, capsys):
-        # 300 replicates crosses the worker-pool threshold
+        # --threads is accepted and checked, but starts no process
         args = ("simulate", "singh1976", "--theta", "9.5", "--t", "0.34",
                 "--replicates", "300", "--seed", "5")
         _, serial, _ = run_cli(capsys, *args, "--threads", "1")
@@ -495,5 +495,5 @@ def test_cli_import_leaves_scipy_out():
 
 
 def test_cli_import_leaves_process_pool_out():
-    # the simulator imports its pool only when it runs one
+    # the simulator runs every replicate in this process and imports no pool
     assert _loaded_after_cli_import(("multiprocessing", "concurrent.futures.process")) == []

@@ -1,0 +1,30 @@
+import math
+
+import numpy as np
+import pytest
+
+from coalineage.errors import NumericalConditioningError
+from coalineage.pmf import Pmf
+
+
+def test_nan_mass_refused():
+    with pytest.raises(NumericalConditioningError, match="mass defect nan"):
+        Pmf.from_floats([math.nan, 1.0])
+
+
+def test_cdf_and_quantile_with_offset():
+    pmf = Pmf(3, np.array([0.25, 0.5, 0.25]), 0.0)
+    np.testing.assert_array_equal(pmf.cdf(), [0.25, 0.75, 1.0])
+    assert pmf.quantile(0.0) == 3
+    assert pmf.quantile(0.25) == 3  # exactly on a cdf step
+    assert pmf.quantile(0.5) == 4
+    assert pmf.quantile(0.75) == 4  # exactly on a cdf step
+    assert pmf.quantile(1.0) == 5
+
+
+def test_from_mixture_places_each_law_by_its_offset():
+    laws = {1: Pmf(2, np.array([0.5, 0.5]), 0.0), 3: Pmf(1, np.array([1.0]), 0.0)}
+    # level 2 has zero weight, so its law is never asked for
+    mixture = Pmf.from_mixture(np.array([0.0, 0.25, 0.0, 0.75]), laws.__getitem__, 1, 3, "test")
+    assert mixture.support_offset == 1
+    np.testing.assert_array_equal(mixture.probs, [0.75, 0.125, 0.125])

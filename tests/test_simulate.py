@@ -160,7 +160,7 @@ class TestSimulateBlockProcess:
         assert summary.d_singleton == 0
 
     def test_rejects_bad_arguments(self):
-        # what ModelParams refuses, for one replicate and for a pooled run
+        # what ModelParams refuses, for one replicate and for a 300-replicate run
         for theta, t in [(0.0, 1.0), (1.0, -0.1), (math.inf, 0.5), (1.0, math.inf), (1e308, 0.5)]:
             with pytest.raises(ValueError):
                 simulate_block_process(SMALL, theta, t, 1)
@@ -314,6 +314,11 @@ class TestRunReplicates:
         monkeypatch.setattr(os, "cpu_count", lambda: cores)
         serial = run_replicates(SMALL, 1.7, 0.5, 300, master_seed=5, threads=1)
         assert run_replicates(SMALL, 1.7, 0.5, 300, master_seed=5, threads=100_000) == serial
+
+    def test_summary_has_no_instance_dict(self):
+        # slots: criterion 3 holds 1e5 summaries at once
+        summary = run_replicates(SMALL, 1.7, 0.5, 1, master_seed=0)[0]
+        assert not hasattr(summary, "__dict__")
 
     def test_loads_neither_numpy_random_nor_a_pool(self):
         # numpy.random alone costs about 5 MB of resident memory
