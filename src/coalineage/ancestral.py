@@ -24,6 +24,7 @@ from .errors import NumericalConditioningError
 from .numerics import (
     SignedLogValue,
     _require_theta,
+    exact_count_sums,
     log_gamma_table,
     reliable_values,
     signed_log_sums,
@@ -352,29 +353,22 @@ def _freq_row_pmf(
     log_gamma[k] = lgamma(theta + k), as _freq_tables(l, n_hi, m, theta)
     builds them for any n_hi >= n; it reads only entries they evaluate.
 
-    Entry x sums over i = x..min(n, m // l) with sign (-1)^(i-x); all
-    entries come from one (x, i) block, padded with -inf below i = x, and
-    one signed_log_sums call, then pass the usual gates.
+    Entry x is the chance that exactly x of the n seed types are drawn l
+    times: exact_count_sums over the binomial moments, C(n,i) times the
+    chance that i given types are, for i = 0..min(n, m // l).
     """
     hi = min(n, m // l)
     i = np.arange(hi + 1)
-    # m! C(n,i) (theta+n-i)_(m-il) / ((m-il)! (theta+n)_m), before the C(i,x) of each entry
-    log_parts = (
+    # m! C(n,i) (theta+n-i)_(m-il) / ((m-il)! (theta+n)_m)
+    log_moments = (
         log_fact[m]
         + log_fact[n] - log_fact[i] - log_fact[n - i]
         + log_gamma[n - i + m - i * l] - log_gamma[n - i]
         - log_fact[m - i * l]
         - (log_gamma[n + m] - log_gamma[n])
     )
-    gap = i[None, :] - i[:, None]  # i - x
-    log_terms = np.where(
-        gap >= 0,
-        (log_parts + log_fact[i])[None, :] - log_fact[i][:, None] - log_fact[np.abs(gap)],
-        -math.inf,
-    )
-    signs = np.where(gap % 2 == 0, 1.0, -1.0)
     return Pmf.from_signed_sums(
-        *signed_log_sums(log_terms, signs), 0, context="frequency-level type count"
+        *exact_count_sums(log_moments, 0), 0, context="frequency-level type count"
     )
 
 

@@ -124,8 +124,8 @@ def expected_k(m: int, theta: float) -> float:
     """Expected number of distinct alleles in a sample of size m."""
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
-    if not (theta > 0):
-        raise ValueError(f"theta must be positive, got {theta}")
+    if not 0.0 < theta < math.inf:
+        raise ValueError(f"theta must be positive and finite, got {theta}")
     i = np.arange(m, dtype=float)
     return float(np.sum(theta / (theta + i)))
 
@@ -181,8 +181,8 @@ def hoppe_sample(m: int, theta: float, seed) -> AllelicPartition:
     """
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
-    if not (theta > 0):
-        raise ValueError(f"theta must be positive, got {theta}")
+    if not 0.0 < theta < math.inf:
+        raise ValueError(f"theta must be positive and finite, got {theta}")
     rng = np.random.default_rng(seed)
     sizes: list[int] = []
     for i in range(m):

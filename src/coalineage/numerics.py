@@ -8,9 +8,10 @@ with one exact math.fsum and returns two arrays: the scaled sums, whose
 magnitudes are the cancellation ratios, and the log peaks.  reliable_values
 turns those arrays into numbers only where the surviving digits are more
 than rounding noise; otherwise callers see a NumericalConditioningError
-naming the first failing entry.  Log-gamma values come from math.lgamma,
-in per-call tables where a kernel needs many of them, evaluated only at
-the entries the kernel reads.
+naming the first failing entry.  exact_count_sums is the one
+inclusion-exclusion path: every "exactly z of N events" law goes through
+it.  Log-gamma values come from math.lgamma, in per-call tables where a
+kernel needs many of them, evaluated only at the entries the kernel reads.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ __all__ = [
     "log_rising_factorial",
     "log_binomial",
     "signed_log_sums",
+    "exact_count_sums",
     "reliable_values",
 ]
 
@@ -166,6 +168,33 @@ def signed_log_sums(
     # row by row, so no Python list of the whole block is built
     sums = np.array([math.fsum(row.tolist()) for row in scaled], dtype=float)
     return sums, log_peaks
+
+
+# log k!, log (k-z)! (+inf at k < z) and (-1)^(k-z) over the largest (z, k)
+# block built so far; a smaller block is its top-left corner
+_PASCAL: list = []
+
+
+def exact_count_sums(log_moments: np.ndarray, lo: int) -> tuple[np.ndarray, np.ndarray]:
+    """signed_log_sums results for P[exactly z of N events], z = lo..N.
+
+    log_moments[k] = log S_k, k = 0..N, where the binomial moment S_k sums
+    the chance of every k of the events at once.  Entry z is the sum over
+    k = z..N of (-1)^(k-z) C(k,z) S_k, each term taken as k! S_k / (z! (k-z)!).
+    """
+    top = len(log_moments)
+    block = _PASCAL[0] if _PASCAL else None
+    if block is None or len(block[0]) < top:
+        log_fact = log_gamma_table(1.0, top)
+        gap = np.arange(top) - np.arange(top)[:, None]
+        gap_log_fact = np.where(gap >= 0, log_fact[np.abs(gap)], math.inf)
+        block = (log_fact, gap_log_fact, np.where(gap % 2 == 0, 1.0, -1.0))
+        _PASCAL[:] = [block]
+    log_fact, gap_log_fact, signs = block
+    k = slice(lo, top)
+    log_fact = log_fact[k]
+    log_terms = (log_moments[k] + log_fact)[None, :] - log_fact[:, None] - gap_log_fact[k, k]
+    return signed_log_sums(log_terms, signs[k, k])
 
 
 def reliable_values(

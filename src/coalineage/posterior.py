@@ -9,14 +9,15 @@ the m' extra draws meet the n - y unseen lines like a fresh urn with
 innovation mass theta + m + y.  Each predictive law has two routes: a
 mixture over the line-count posterior, whose weights are all positive
 (the production path), and the direct closed form, kept as a cross-check
-because its alternating sums cancel harder.
+because its alternating sums cancel harder.  Both hit-count routes are
+escape moments, then one inclusion-exclusion (numerics.exact_count_sums).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import lru_cache, partial
+from functools import partial
 
 import numpy as np
 
@@ -33,11 +34,10 @@ from .ancestral import (
 from .errors import NumericalConditioningError
 from .numerics import (
     _require_theta,
+    exact_count_sums,
     log_binomial,
-    log_gamma_table,
     log_rising_factorial,
     reliable_values,
-    signed_log_sums,
 )
 from .pmf import Pmf
 
@@ -132,47 +132,39 @@ def cond_r_pmf(n: int, m: int, m_prime: int, y: int, theta: float) -> Pmf:
     return replace(_r_pmf_uncached(n - y, m_prime, theta + m + y), support_offset=y)
 
 
-@lru_cache(maxsize=32)
-def _hit_block(y: int, hi: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """log C(y,x), log C(x,j) and the sign (-1)^(x-j) for the (x, j) block of
-    cond_r_freq_pmf, x, j = 0..hi, with log C(x,j) = -inf above j = x.
+def _log_escape(b: float, m_prime: int, y: int, weight: int) -> np.ndarray:
+    """log (b - k weight)_m' / (b)_m', k = 0..y: the chance that k given lines,
+    each of urn weight `weight` in a total b, escape m' draws, taken as the
+    product of u / (u + m') over u = b - k weight .. b - 1."""
+    log_escape = np.zeros(y + 1)
+    total = 0.0
+    for w in range(1, y * weight + 1):
+        total += math.log((b - w) / (b - w + m_prime))
+        if w % weight == 0:
+            log_escape[w // weight] = total
+    return log_escape
 
-    They depend on the counts only, so a curve over m' and the population
-    levels n reuses them; the usual y are small, and so are the blocks held.
-    """
-    log_fact = log_gamma_table(1.0, y + 1)
-    j = np.arange(hi + 1)
-    gap = j[:, None] - j  # x - j
-    log_binom_x = np.where(
-        gap >= 0, log_fact[j][:, None] - log_fact[j] - log_fact[np.abs(gap)], -math.inf
-    )
-    log_binom_y = log_fact[y] - log_fact[j] - log_fact[y - j]
-    return log_binom_y, log_binom_x, np.where(gap % 2 == 0, 1.0, -1.0)
+
+def _hit_count_pmf(log_escape: np.ndarray, m_prime: int, context: str) -> Pmf:
+    """Law of how many of y given lines m' draws hit: y minus exactly the number that
+    escape, whose binomial moments are C(y,k) exp(log_escape[k]), k = 0..y."""
+    y = len(log_escape) - 1
+    log_moments = np.array([math.log(math.comb(y, k)) for k in range(y + 1)]) + log_escape
+    sums, log_peaks = exact_count_sums(log_moments, y - min(y, m_prime))
+    return Pmf.from_signed_sums(sums[::-1], log_peaks[::-1], 0, context=context)
 
 
 def cond_r_freq_pmf(l: int, n: int, m: int, m_prime: int, y: int, theta: float) -> Pmf:
     """Law of how many frequency-l types gain a copy among m' extra draws.
 
-    y of the n old types sit at frequency l after m draws; x counts the
-    ones that at least one extra draw lands on, so the support runs
-    0..min(y, m').  Entry x is the inclusion-exclusion sum over j = 0..x
-    of (-1)^(x-j) C(y,x) C(x,j) (theta+n+m-(y-j)(1+l))_m' / (theta+n+m)_m';
-    all entries come from one (x, j) block, padded with -inf above j = x.
+    y of the n old types sit at frequency l after m draws, each with urn
+    weight 1 + l out of theta + n + m; x counts the ones that at least one
+    extra draw lands on, so the support runs 0..min(y, m').
     """
     if l < 1:
         raise ValueError(f"l must be >= 1, got {l}")
     _validate_conditional_args(n, m, m_prime, y, theta, y_cap=min(n, m // l))
-    hi = min(y, m_prime)
-    log_denom = log_rising_factorial(theta + n + m, m_prime)
-    log_rise = np.array([
-        log_rising_factorial(theta + n + m - (y - j) * (1 + l), m_prime) for j in range(hi + 1)
-    ])
-    log_binom_y, log_binom_x, signs = _hit_block(y, hi)
-    return Pmf.from_signed_sums(
-        *signed_log_sums((log_binom_y - log_denom)[:, None] + log_binom_x + log_rise, signs),
-        support_offset=0,
-        context="hit type count",
-    )
+    return _hit_count_pmf(_log_escape(theta + n + m, m_prime, y, 1 + l), m_prime, "hit type count")
 
 
 def n_posterior(m: int, y: int, params: ModelParams, mode: str = "total") -> Pmf:
@@ -267,9 +259,9 @@ def predictive_singleton_pmf(query: PredictiveQuery, method: str = "mixture") ->
 
     Given y such lines in the m-sample, x counts the ones that stop being
     singletons because a new draw lands on them; support 0..min(y, m').
-    The closed route evaluates the direct alternating representation,
-    whose line-count series runs to m + m': the extra-draw factor keeps
-    the last m' difference orders alive past the marginal's cutoff at m.
+    The closed route evaluates the direct alternating representation of
+    each escape moment, whose series runs to m + m': the extra-draw factor
+    keeps the last m' difference orders alive past the marginal's cutoff at m.
     """
     _require_method(method)
     m, m_prime, y, params = query.m, query.m_prime, query.y, query.params
@@ -289,26 +281,11 @@ def predictive_singleton_pmf(query: PredictiveQuery, method: str = "mixture") ->
         singleton_lineage_pmf(m, params).prob(y), f"P[singleton count = {y}]"
     )
     i_hi = m + m_prime
-    log_gamma = log_gamma_table(theta, 2 * i_hi + 1)
-    n = np.arange(y, i_hi + 1)
-    k = np.arange(y + 1)[:, None]
-    # row k: log (theta+n+m-2k)_m' / (theta+n+m)_m', the chance that k
-    # given singleton lines escape all m' draws
-    extra_log = np.zeros((y + 1, i_hi + 1))
-    extra_log[:, y:] = (
-        log_gamma[n + m - 2 * k + m_prime] - log_gamma[n + m - 2 * k]
-        - (log_gamma[n + m + m_prime] - log_gamma[n + m])
-    )
-    inner = _closed_singleton_values(m, y, params, i_hi, extra_log)
-    probs = np.zeros(min(y, m_prime) + 1)
-    for x in range(len(probs)):
-        sign_x = 1.0 if x % 2 == 0 else -1.0
-        parts = [
-            (1.0 if (y - k) % 2 == 0 else -1.0) * math.comb(x, y - k) * inner[k]
-            for k in range(max(0, y - x), y + 1)
-        ]
-        probs[x] = sign_x * math.comb(y, x) * math.fsum(parts) / marginal
-    return Pmf.from_floats(probs, support_offset=0, context="hit singleton count")
+    # row k, column n >= y: the chance that k given singleton lines escape all m' draws
+    escape = np.transpose([_log_escape(theta + n + m, m_prime, y, 2) for n in range(y, i_hi + 1)])
+    inner = _closed_singleton_values(m, y, params, i_hi, np.pad(escape, ((0, 0), (y, 0))))
+    log_escape = np.log(inner / marginal, out=np.full(y + 1, -math.inf), where=inner > 0)
+    return _hit_count_pmf(log_escape, m_prime, "hit singleton count")
 
 
 def gt_new_lineage_prob(m: int, y: int, params: ModelParams) -> float:

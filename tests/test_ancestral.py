@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from coalineage import ancestral, posterior
+from coalineage import ancestral, numerics, posterior
 from coalineage.ancestral import (
     ModelParams,
     _ancestral_values,
@@ -370,8 +370,9 @@ class TestBlockKernels:
         # that may surface as a numpy RuntimeWarning.  The closed routes
         # run where they are affordable, m <= 20.
         for cached in (lineage_pmf, singleton_lineage_pmf, _ancestral_values,
-                       ancestral.r_pmf, ancestral.r_freq_pmf, posterior._hit_block):
+                       ancestral.r_pmf, ancestral.r_freq_pmf):
             cached.cache_clear()
+        numerics._PASCAL.clear()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for m in KERNEL_M:

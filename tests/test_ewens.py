@@ -159,6 +159,11 @@ class TestExpectedK:
             expected_k(0, 1.0)
         with pytest.raises(ValueError):
             expected_k(5, -1.0)
+        with pytest.raises(ValueError, match="finite"):
+            expected_k(5, math.inf)
+
+    def test_huge_finite_theta_counts_every_gene(self):
+        assert expected_k(5, 1e306) == 5.0
 
 
 class TestThetaMle:
@@ -224,3 +229,9 @@ class TestHoppeSample:
             hoppe_sample(0, 1.0, seed=1)
         with pytest.raises(ValueError):
             hoppe_sample(5, 0.0, seed=1)
+        with pytest.raises(ValueError, match="finite"):
+            hoppe_sample(5, math.inf, seed=1)
+
+    def test_huge_finite_theta_draws_all_distinct(self):
+        # beyond where lgamma(theta) overflows the urn is still well defined
+        assert hoppe_sample(5, 1e306, seed=0).as_dict() == {1: 5}

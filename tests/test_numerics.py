@@ -8,8 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coalineage.errors import NumericalConditioningError
+from coalineage import numerics
 from coalineage.numerics import (
     SignedLogValue,
+    exact_count_sums,
     log_binomial,
     log_gamma_table,
     log_rising_factorial,
@@ -199,6 +201,41 @@ class TestSignedLogSums:
             np.testing.assert_allclose(value_of(sums[r], log_peaks[r]), total.value, rtol=1e-14)
         # an all-padding row is an empty sum
         assert (sums[-1], log_peaks[-1]) == (0.0, -math.inf)
+
+
+class TestExactCountSums:
+    def test_matches_exact_inclusion_exclusion(self):
+        # binomial moments S_k of N independent events are the elementary
+        # symmetric sums of their chances, so the exact count law is known
+        # twice over: by the product DP and by inclusion-exclusion in
+        # Fractions.  The kernel must match it for every size and every lo,
+        # whether its Pascal block was just grown or is the corner of a
+        # larger one.
+        rng = np.random.default_rng(11)
+        numerics._PASCAL.clear()
+        for size in [*range(1, 13), *range(12, 0, -1)]:
+            chances = [Fraction(int(rng.integers(1, 64)), 64) for _ in range(size)]
+            law, moments = [Fraction(1)], [Fraction(1)]
+            for p in chances:
+                law = [a * (1 - p) + b * p for a, b in zip(law + [0], [0] + law)]
+                moments = [a + b * p for a, b in zip(moments + [0], [0] + moments)]
+            log_moments = np.log([float(s) for s in moments])
+            for lo in range(size + 1):
+                exact = [
+                    sum((-1) ** (k - z) * math.comb(k, z) * moments[k] for k in range(z, size + 1))
+                    for z in range(lo, size + 1)
+                ]
+                assert exact == law[lo:]
+                sums, log_peaks = exact_count_sums(log_moments, lo)
+                assert len(sums) == size + 1 - lo
+                got = sums * np.exp(log_peaks)
+                # within a few dozen ulps of the largest term
+                assert np.all(np.abs(got - [float(e) for e in exact]) <= 1e-14 * np.exp(log_peaks))
+                if lo == 0:
+                    full = sums
+                # rows past lo are the same sums, bit for bit
+                assert sums.tolist() == full[lo:].tolist()
+        assert len(numerics._PASCAL[0][0]) == 13
 
 
 def gate(sums, log_peaks):

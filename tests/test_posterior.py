@@ -14,6 +14,7 @@ from coalineage.ancestral import (
 )
 from coalineage.enumeration import enumerate_sequences, oracle_pmf_exact
 from coalineage.errors import NumericalConditioningError
+from coalineage.numerics import ENTRY_NOISE_BUDGET
 from coalineage.posterior import (
     PredictiveQuery,
     cond_r_freq_pmf,
@@ -167,6 +168,30 @@ class TestCondRFreq:
                                         abs(got.prob(x) - float(exact.get(x, Fraction(0)))),
                                     )
         assert worst < 1e-13
+
+    @pytest.mark.parametrize("theta", [0.5, 9.5])
+    @pytest.mark.parametrize("l", [1, 2])
+    def test_entries_within_noise_budget_of_exact_rationals(self, l, theta):
+        # the escape chances here are ratios of 50-factor rising factorials
+        # with bases near 200, which floats built from lgamma values near
+        # 10^3 get wrong beyond the 1e-8 entry contract; Fractions do not
+        n, m, m_prime, y = 40, 146, 50, 20
+        b = Fraction(theta) + n + m
+
+        def rising(x):
+            return math.prod((x + i for i in range(m_prime)), start=Fraction(1))
+
+        escape = [rising(b - j * (1 + l)) / rising(b) for j in range(y + 1)]
+        exact = [
+            sum(
+                (-1) ** (x - j) * math.comb(y, x) * math.comb(x, j) * escape[y - j]
+                for j in range(x + 1)
+            )
+            for x in range(min(y, m_prime) + 1)
+        ]
+        got = cond_r_freq_pmf(l, n, m, m_prime, y, theta)
+        assert got.support_offset == 0 and len(got.probs) == len(exact)
+        assert max(abs(p - float(e)) for p, e in zip(got.probs, exact)) <= ENTRY_NOISE_BUDGET
 
     def test_mean_matches_first_moment(self):
         for (l, n, m, m_prime, y, theta) in [
