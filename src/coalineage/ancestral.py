@@ -8,7 +8,8 @@ projection of that law.  Both are the same alternating line-of-descent
 series with different weights on the index i (Griffiths 1980; Tavare
 1984): C(m,i)/(theta+m)_i for the sample, its m -> infinity limit 1/i!
 for the population.  One kernel sums both, and entries are refused when
-cancellation eats the result.
+cancellation eats the result.  The singleton law's closed route sums each
+of its binomial moments as one such series, then takes inclusion-exclusion.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from .numerics import (
     _require_theta,
     exact_count_sums,
     log_gamma_table,
+    moment_count_sums,
     reliable_values,
     signed_log_sums,
 )
@@ -404,36 +406,35 @@ def r_freq_pmf(l: int, n: int, m: int, theta: float) -> Pmf:
 
 
 def _singleton_closed_entries(
-    m: int, xs, params: ModelParams, i_hi: int, extra_log: np.ndarray
+    m: int, lo: int, params: ModelParams, i_hi: int, extra_log: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """signed_log_sums (sums, log_peaks) of the direct singleton representation.
 
-    extra_log is a stack of rows, each indexed by n = 0..i_hi, and both
-    results are (len(xs), rows) arrays: one sum per x and row.  Entry x of row r
-    sums, over j = max(x,1)..m, i = j..i_hi and n = j..i,
-    (-1)^(j-x+i+n) C(j,x) C(m,j) (2i-1+theta) e^(-t i(i-1+theta)/2)
+    extra_log is a stack of rows indexed by n = 0..i_hi; both results are
+    (rows, m + 1 - lo): entries z = lo..m of each row, by
+    numerics.moment_count_sums over binomial moments j = lo..m.  Moment
+    j >= 1 of row r is one signed sum over i = j..i_hi and n = j..i of
+    (-1)^(i+n) C(m,j) (2i-1+theta) e^(-t i(i-1+theta)/2)
     (theta+n-j)_(m-j) Gamma(theta+n+i-1) / ((n-j)! (i-n)! Gamma(theta+n+m))
-    times e^extra_log[r, n], plus e^extra_log[r, 0] at x = 0 (the
-    j = i = n = 0 corner).  It comes from expanding the line-count series
-    inside the singleton mixture and swapping the order of summation.
-    With extra_log = 0 and i_hi = m it is the singleton law, exact there
-    because higher coefficients are mth-order differences of
+    times e^extra_log[r, n]; moment 0 is the j = i = n = 0 corner
+    e^extra_log[r, 0], exact for a zero row.  It comes from expanding the
+    line-count series inside the singleton mixture and swapping the order
+    of summation.  With extra_log = 0 and i_hi = m it is the singleton law,
+    exact there because higher coefficients are mth-order differences of
     lower-degree polynomials; a route whose extra factor keeps more
     difference orders alive passes a larger i_hi.  extra_log must be
-    finite at every n >= min(xs).  Valid for every theta > 0.  The (i, n)
-    block of each j is built once and shared by every x and every row.
+    finite at every n >= lo.  Valid for every theta > 0.
     """
-    theta = params.theta
     log_fact = log_gamma_table(1.0, i_hi + 1)
-    log_gamma = log_gamma_table(theta, 2 * i_hi + 1)
-    j_lo = max(min(xs), 1)
+    log_gamma = log_gamma_table(params.theta, 2 * i_hi + 1)
+    j_lo = max(lo, 1)
     tri_i, tri_n = np.tril_indices(i_hi - j_lo + 1)
-    blocks = {}
+    # moment j in column j; columns 1..lo-1 are never read
+    sums, log_peaks = np.ones((len(extra_log), m + 1)), np.array(extra_log[:, : m + 1])
     for j in range(j_lo, m + 1):
         # (i, n) pairs with j <= n <= i <= i_hi lead the triangle in row order
         size = (i_hi - j + 1) * (i_hi - j + 2) // 2
-        i = tri_i[:size] + j
-        n = tri_n[:size] + j
+        i, n = tri_i[:size] + j, tri_n[:size] + j
         log_terms = (
             _log_abs_rho(i, params)
             - log_fact[n - j] - log_fact[i - n]
@@ -441,24 +442,11 @@ def _singleton_closed_entries(
             + log_gamma[n + i - 1] - log_gamma[n + m]
             + log_fact[m] - log_fact[j] - log_fact[m - j]
         )
-        blocks[j] = (log_terms, n, np.where((i + n + j) % 2 == 0, 1.0, -1.0))
-    sums = np.empty((len(xs), len(extra_log)))
-    log_peaks = np.empty_like(sums)
-    for r, x in enumerate(xs):
-        js = range(max(x, 1), m + 1)
-        flip = 1.0 if x % 2 == 0 else -1.0
-        log_terms = [blocks[j][0] + (log_fact[j] - log_fact[x] - log_fact[j - x]) for j in js]
-        ns = [blocks[j][1] for j in js]
-        signs = [flip * blocks[j][2] for j in js]
-        if x == 0:
-            log_terms.append([0.0])
-            ns.append([0])
-            signs.append([1.0])
-        ns = np.concatenate(ns)
-        sums[r], log_peaks[r] = signed_log_sums(
-            np.concatenate(log_terms) + extra_log[:, ns], np.concatenate(signs)
+        sums[:, j], log_peaks[:, j] = signed_log_sums(
+            log_terms + extra_log[:, n], np.where((i + n) % 2 == 0, 1.0, -1.0)
         )
-    return sums, log_peaks
+    entries = np.array([moment_count_sums(*row, lo) for row in zip(sums, log_peaks)])
+    return entries[:, 0], entries[:, 1]
 
 
 @lru_cache(maxsize=64)
@@ -470,7 +458,8 @@ def singleton_lineage_pmf(m: int, params: ModelParams, method: str = "mixture") 
     units fall into the urn with n seed types, and a line is a singleton
     ancestor when its type is drawn exactly once.  method="closed"
     evaluates the direct alternating representation instead, an
-    independent cross-check route.
+    independent cross-check route that reads nothing from the mixture:
+    binomial moments, then inclusion-exclusion.
     """
     if m < 0:
         raise ValueError(f"m must be nonnegative, got {m}")
@@ -478,12 +467,8 @@ def singleton_lineage_pmf(m: int, params: ModelParams, method: str = "mixture") 
     if params.t == 0.0:
         raise ValueError("the ancestral line count starts at infinity; t must be > 0")
     if method == "closed":
-        sums, log_peaks = _singleton_closed_entries(
-            m, range(m + 1), params, m, np.zeros((1, m + 1))
-        )
-        return Pmf.from_signed_sums(
-            sums[:, 0], log_peaks[:, 0], 0, context="singleton ancestor count"
-        )
+        sums, log_peaks = _singleton_closed_entries(m, 0, params, m, np.zeros((1, m + 1)))
+        return Pmf.from_signed_sums(sums[0], log_peaks[0], 0, context="singleton ancestor count")
     weights = _ancestral_values(params, None)
     # one table pair serves every row n
     tables = _freq_tables(1, len(weights) - 1, m, params.theta)

@@ -10,8 +10,10 @@ turns those arrays into numbers only where the surviving digits are more
 than rounding noise; otherwise callers see a NumericalConditioningError
 naming the first failing entry.  exact_count_sums is the one
 inclusion-exclusion path: every "exactly z of N events" law goes through
-it.  Log-gamma values come from math.lgamma, in per-call tables where a
-kernel needs many of them, evaluated only at the entries the kernel reads.
+it, and moment_count_sums takes it over moments that are signed sums
+themselves (the closed singleton routes).  Log-gamma values come from
+math.lgamma, in per-call tables where a kernel needs many of them,
+evaluated only at the entries the kernel reads.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ __all__ = [
     "log_binomial",
     "signed_log_sums",
     "exact_count_sums",
+    "moment_count_sums",
     "reliable_values",
 ]
 
@@ -171,16 +174,20 @@ def signed_log_sums(
 
 
 # log k!, log (k-z)! (+inf at k < z) and (-1)^(k-z) over the largest (z, k)
-# block built so far; a smaller block is its top-left corner
+# block built so far, up to PASCAL_KEEP a side (1 MB); a smaller block is
+# its top-left corner, and a larger one serves its own call only
 _PASCAL: list = []
+PASCAL_KEEP = 256
 
 
 def exact_count_sums(log_moments: np.ndarray, lo: int) -> tuple[np.ndarray, np.ndarray]:
     """signed_log_sums results for P[exactly z of N events], z = lo..N.
 
     log_moments[k] = log S_k, k = 0..N, where the binomial moment S_k sums
-    the chance of every k of the events at once.  Entry z is the sum over
-    k = z..N of (-1)^(k-z) C(k,z) S_k, each term taken as k! S_k / (z! (k-z)!).
+    the chance of every k of the events at once; entries below lo are not
+    read.  Entry z is the sum over k = z..N of (-1)^(k-z) C(k,z) S_k, each
+    term taken as k! S_k / (z! (k-z)!), so its log peak is the largest
+    log C(k,z) + log S_k.
     """
     top = len(log_moments)
     block = _PASCAL[0] if _PASCAL else None
@@ -189,12 +196,29 @@ def exact_count_sums(log_moments: np.ndarray, lo: int) -> tuple[np.ndarray, np.n
         gap = np.arange(top) - np.arange(top)[:, None]
         gap_log_fact = np.where(gap >= 0, log_fact[np.abs(gap)], math.inf)
         block = (log_fact, gap_log_fact, np.where(gap % 2 == 0, 1.0, -1.0))
-        _PASCAL[:] = [block]
+        if top <= PASCAL_KEEP:
+            _PASCAL[:] = [block]
     log_fact, gap_log_fact, signs = block
     k = slice(lo, top)
     log_fact = log_fact[k]
     log_terms = (log_moments[k] + log_fact)[None, :] - log_fact[:, None] - gap_log_fact[k, k]
     return signed_log_sums(log_terms, signs[k, k])
+
+
+def moment_count_sums(
+    sums: np.ndarray, log_peaks: np.ndarray, lo: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """exact_count_sums over binomial moments that are signed_log_sums results.
+
+    A moment that rounds to zero or below counts as zero.  Entry z's log
+    peak is the largest log C(k,z) plus moment k's own log peak (a second
+    call, over the peaks), so reliable_values reads it as one fused sum;
+    its sum is rescaled to match, and an entry with no terms stays 0.
+    """
+    log_moments = np.log(sums, out=np.full(len(sums), -math.inf), where=sums > 0) + log_peaks
+    sums, peaks = exact_count_sums(log_moments, lo)
+    entry_peaks = exact_count_sums(log_peaks, lo)[1]
+    return sums * np.exp(peaks - np.where(peaks > -math.inf, entry_peaks, 0.0)), entry_peaks
 
 
 def reliable_values(

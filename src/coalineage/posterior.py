@@ -11,6 +11,7 @@ mixture over the line-count posterior, whose weights are all positive
 (the production path), and the direct closed form, kept as a cross-check
 because its alternating sums cancel harder.  Both hit-count routes are
 escape moments, then one inclusion-exclusion (numerics.exact_count_sums).
+Closed singleton routes condition on their own kernel's marginal.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from .ancestral import (
     lineage_pmf,
     r_freq_pmf,
     r_pmf,
-    singleton_lineage_pmf,
 )
 from .errors import NumericalConditioningError
 from .numerics import (
@@ -37,6 +37,7 @@ from .numerics import (
     exact_count_sums,
     log_binomial,
     log_rising_factorial,
+    moment_count_sums,
     reliable_values,
 )
 from .pmf import Pmf
@@ -243,17 +244,6 @@ def predictive_lineage_pmf(query: PredictiveQuery, method: str = "mixture") -> P
     return Pmf.from_floats(probs, support_offset=y, context="enlarged line count")
 
 
-def _closed_singleton_values(
-    m: int, y: int, params: ModelParams, i_hi: int, extra_log: np.ndarray
-) -> np.ndarray:
-    """Gated entries x = y of the closed singleton kernel (see ancestral),
-    one per row of the extra_log stack."""
-    sums, log_peaks = _singleton_closed_entries(m, [y], params, i_hi, extra_log)
-    return reliable_values(
-        sums[0], log_peaks[0], lambda r: "closed singleton series", "use the mixture route"
-    )
-
-
 def predictive_singleton_pmf(query: PredictiveQuery, method: str = "mixture") -> Pmf:
     """Law of how many single-descendant lines gain copies from m' extra draws.
 
@@ -277,15 +267,21 @@ def predictive_singleton_pmf(query: PredictiveQuery, method: str = "mixture") ->
             min(y, m_prime) + 1,
             context="hit singleton count",
         )
-    marginal = _conditioning_mass(
-        singleton_lineage_pmf(m, params).prob(y), f"P[singleton count = {y}]"
-    )
-    i_hi = m + m_prime
     # row k, column n >= y: the chance that k given singleton lines escape all m' draws
-    escape = np.transpose([_log_escape(theta + n + m, m_prime, y, 2) for n in range(y, i_hi + 1)])
-    inner = _closed_singleton_values(m, y, params, i_hi, np.pad(escape, ((0, 0), (y, 0))))
-    log_escape = np.log(inner / marginal, out=np.full(y + 1, -math.inf), where=inner > 0)
-    return _hit_count_pmf(log_escape, m_prime, "hit singleton count")
+    escape = [_log_escape(theta + n + m, m_prime, y, 2) for n in range(y, m + m_prime + 1)]
+    sums, log_peaks = _singleton_closed_entries(
+        m, y, params, m + m_prime, np.pad(np.transpose(escape), ((0, 0), (y, 0)))
+    )
+    # column 0 holds entry y; row 0 escapes nothing, so it is the marginal
+    event = f"P[singleton count = {y}]"
+    (marginal,) = reliable_values(
+        sums[:1, 0], log_peaks[:1, 0], lambda r: event, "use the mixture route"
+    )
+    # moment k: C(y,k) times the chance that k given lines escape, gated after the division
+    log_peaks = log_peaks[:, 0] + np.log([math.comb(y, k) for k in range(y + 1)])
+    log_peaks -= math.log(_conditioning_mass(float(marginal), event))
+    sums, log_peaks = moment_count_sums(sums[:, 0], log_peaks, y - min(y, m_prime))
+    return Pmf.from_signed_sums(sums[::-1], log_peaks[::-1], 0, context="hit singleton count")
 
 
 def gt_new_lineage_prob(m: int, y: int, params: ModelParams) -> float:
@@ -306,20 +302,14 @@ def gt_singleton_prob(m: int, y: int, params: ModelParams, method: str = "mixtur
 
     Equals the mean of the m' = 1 singleton predictive law.  The mixture
     route averages the one-draw hit chance 2y/(theta + n + m) over the
-    line-count posterior; the closed route evaluates the direct
-    alternating representation, whose line-count series runs to m + 1.
+    line-count posterior; the closed route is the mean of the closed
+    m' = 1 predictive law.
     """
     _require_method(method)
     _require_observed(m, y)
     if y == 0:
         return 0.0
-    theta = params.theta
     if method == "mixture":
         posterior = n_posterior(m, y, params, mode="singleton")
-        return math.fsum(w * 2 * y / (theta + n + m) for n, w in posterior.items())
-    marginal = _conditioning_mass(
-        singleton_lineage_pmf(m, params).prob(y), f"P[singleton count = {y}]"
-    )
-    extra_log = -np.log(theta + np.arange(m + 2) + m)
-    total = _closed_singleton_values(m, y, params, m + 1, extra_log[None, :])[0]
-    return 2.0 * y * total / marginal
+        return math.fsum(w * 2 * y / (params.theta + n + m) for n, w in posterior.items())
+    return predictive_singleton_pmf(PredictiveQuery(m, 1, y, params), method="closed").mean()

@@ -2,6 +2,7 @@ import math
 import warnings
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -303,6 +304,70 @@ class TestSingletonLineagePmf:
             params = ModelParams(theta, t)
             closed = singleton_lineage_pmf(m, params, method="closed")
             assert closed.tv_distance(singleton_lineage_pmf(m, params)) <= 1e-8
+
+    def test_both_routes_match_mpmath_mixture_series(self):
+        # both routes sum through numerics.exact_count_sums, so the
+        # reference takes neither: 50-digit population series, and the urn
+        # law through weak compositions rather than inclusion-exclusion
+        for m, theta, t in ((8, 1.0, 0.34), (12, 3.0, 0.2), (20, 0.5, 1.0), (20, 9.5, 0.15)):
+            params = ModelParams(theta, t)
+            reference = np.array([float(p) for p in singleton_law_mpmath(m, theta, t)])
+            for method in ("mixture", "closed"):
+                law = singleton_lineage_pmf.__wrapped__(m, params, method)
+                assert np.max(np.abs(law.probs - reference)) <= 1e-9, (m, theta, t, method)
+
+
+def compositions_without_ones(total: int, parts: int) -> int:
+    """Weak compositions of total into parts with no part equal to 1.
+
+    q nonzero parts, each at least 2, are C(total-q-1, q-1) compositions.
+    """
+    if total == 0:
+        return 1
+    return sum(
+        math.comb(parts, q) * math.comb(total - q - 1, q - 1)
+        for q in range(1, min(parts, total // 2) + 1)
+    )
+
+
+def singleton_law_mpmath(m: int, theta: float, t: float, dps: int = 50) -> list:
+    """The singleton mixture series at dps digits.
+
+    The population law d_n is its line-of-descent series, summed to the
+    index where every term is below e^-140.  Given n seed types, the
+    number s of the m draws that land on them is beta-binomial(m; n,
+    theta), and given s their counts are uniform over the weak
+    compositions of s into n parts, so exactly x of them are singletons
+    in C(n,x) compositions_without_ones(s-x, n-x) of C(s+n-1, n-1).
+    """
+    # past top, every term is below e^-140 (the bound of ancestral._last_index)
+    top, log_growth = 1, math.log1p(theta) + theta * math.log(2)
+    while log_growth + 4 * top * math.log(2) + 140 > t * top * (top - 1 + theta) / 2:
+        top += 1
+    with mpmath.workdps(dps):
+        theta_, t_ = mpmath.mpf(theta), mpmath.mpf(t)
+        decay = [
+            (2 * i - 1 + theta_) * mpmath.exp(-t_ * i * (i - 1 + theta_) / 2)
+            for i in range(top + 1)
+        ]
+        inv_fact = [1 / mpmath.factorial(k) for k in range(top + 1)]
+        law = [mpmath.mpf(0)] * (m + 1)
+        for n in range(top + 1):
+            # d_n = 1{n=0} + sum over i of (-1)^(i+n) decay_i (n+theta)_(i-1) / (n! (i-n)!)
+            d = mpmath.mpf(n == 0)
+            rising = mpmath.rf(n + theta_, max(n, 1) - 1)
+            for i in range(max(n, 1), top + 1):
+                d += (-1) ** (i + n) * decay[i] * rising * inv_fact[n] * inv_fact[i - n]
+                rising *= n + theta_ + i - 1
+            for s in range(m + 1):
+                p_s = math.comb(m, s) * mpmath.rf(n, s) * mpmath.rf(theta_, m - s)
+                p_s /= mpmath.rf(n + theta_, m)
+                if p_s == 0:
+                    continue
+                share = d * p_s / (math.comb(s + n - 1, n - 1) if n else 1)
+                for x in range(min(s, n) + 1):
+                    law[x] += share * (math.comb(n, x) * compositions_without_ones(s - x, n - x))
+        return law
 
 
 KERNEL_M = (0, 1, 20, 146, 1000)

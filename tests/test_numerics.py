@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from coalineage.ancestral import r_freq_pmf
 from coalineage.errors import NumericalConditioningError
 from coalineage import numerics
 from coalineage.numerics import (
@@ -236,6 +237,16 @@ class TestExactCountSums:
                 # rows past lo are the same sums, bit for bit
                 assert sums.tolist() == full[lo:].tolist()
         assert len(numerics._PASCAL[0][0]) == 13
+
+    def test_kept_pascal_block_is_bounded(self):
+        # a block larger than PASCAL_KEEP a side serves its own call only
+        numerics._PASCAL.clear()
+        r_freq_pmf.__wrapped__(1, 40, 146, 9.5)
+        with pytest.raises(NumericalConditioningError):
+            r_freq_pmf.__wrapped__(1, 1000, 1000, 0.5)
+        (block,) = numerics._PASCAL
+        assert len(block[0]) == 41
+        assert sum(part.nbytes for part in block) < 2**20
 
 
 def gate(sums, log_peaks):

@@ -403,6 +403,20 @@ class TestPredictiveSingleton:
             )
         assert worst < 1e-10
 
+    def test_closed_route_refuses_or_agrees_at_small_t(self):
+        # at t = 0.1 the closed route's escape moments are noise-limited;
+        # divided by their own marginal and summed by inclusion-exclusion,
+        # that noise must either pass the gate within the dual-route bound
+        # or be refused
+        params = ModelParams(0.5, 0.1)
+        for m, m_prime, y in ((15, 4, 6), (15, 4, 1), (25, 4, 6)):
+            q = PredictiveQuery(m, m_prime, y, params)
+            try:
+                closed = predictive_singleton_pmf(q, method="closed")
+            except NumericalConditioningError:
+                continue
+            assert closed.tv_distance(predictive_singleton_pmf(q)) <= 1e-8, (m, m_prime, y)
+
     def test_support_and_mass(self):
         q = PredictiveQuery(m=9, m_prime=3, y=5, params=ModelParams(1.0, 0.4))
         pmf = predictive_singleton_pmf(q)
