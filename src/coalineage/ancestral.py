@@ -26,6 +26,7 @@ from .numerics import (
     SignedLogValue,
     _require_theta,
     exact_count_sums,
+    log_factorials,
     log_gamma_table,
     moment_count_sums,
     reliable_values,
@@ -140,7 +141,7 @@ def _line_count_entries(
     """
     theta = params.theta
     top = len(log_w) - 1
-    log_fact = log_gamma_table(1.0, top + 1)
+    log_fact = log_factorials(top + 1)
     log_gamma = log_gamma_table(theta, 2 * top + 1)
     i = np.arange(top + 1)
     # the row-independent factors, with the i! of C(i,x) folded in
@@ -197,7 +198,7 @@ def _ancestral_values(params: ModelParams, n_max: int | None) -> np.ndarray:
             f"the ancestral series needs {top} terms, more than {MAX_ANCESTRAL_N}; "
             "t is too small for the series representation"
         )
-    log_w = -log_gamma_table(1.0, top + 1)
+    log_w = -log_factorials(top + 1)
 
     def entries(lo: int, hi: int) -> list[float]:
         return reliable_values(
@@ -241,9 +242,8 @@ def _lineage_entries(m: int, params: ModelParams) -> tuple[np.ndarray, np.ndarra
     """signed_log_sums results for P[sample ancestral count = x], x = 0..m."""
     top = min(m, _last_index(params))
     i = np.arange(top + 1)
-    # lgamma only where it is read: k! at k <= top and k >= m - top, and
-    # Gamma(theta + k) at m <= k <= m + top
-    log_fact = log_gamma_table(1.0, m + 1, np.concatenate((i, m - i)))
+    log_fact = log_factorials(m + 1)
+    # lgamma only where it is read: Gamma(theta + k) at m <= k <= m + top
     log_gamma = log_gamma_table(params.theta, m + top + 1, m + i)
     # C(m,i) / (theta+m)_i
     log_w = log_fact[m] - log_fact[i] - log_fact[m - i] - (log_gamma[m + i] - log_gamma[m])
@@ -330,16 +330,13 @@ def r_pmf(n: int, m: int, theta: float) -> Pmf:
     if n < 0 or m < 0:
         raise ValueError("n and m must be nonnegative")
     _require_theta(theta)
-    hi = min(n, m)
-    # lgamma only where it is read: k!, (n-k)!, (m-k)! and Gamma(theta+k), k = 0..hi
-    log_fact = log_gamma_table(1.0, hi + 1)
-    log_fact_n = log_gamma_table(n - hi + 1.0, hi + 1)[::-1]
-    log_fact_m = log_gamma_table(m - hi + 1.0, hi + 1)[::-1]
-    log_gamma = log_gamma_table(theta, hi + 1)
+    x = np.arange(min(n, m) + 1)
+    log_fact = log_factorials(max(n, m) + 1)
+    log_gamma = log_gamma_table(theta, len(x))
     # x! C(n,x) C(m,x) (theta+x)_(m-x) / (theta+n)_m
     log_probs = (
-        math.lgamma(n + 1.0) - log_fact_n
-        + math.lgamma(m + 1.0) - log_fact - log_fact_m
+        log_fact[n] - log_fact[n - x]
+        + log_fact[m] - log_fact[x] - log_fact[m - x]
         + math.lgamma(theta + m) - log_gamma
         - (math.lgamma(theta + (n + m)) - math.lgamma(theta + n))
     )
@@ -377,14 +374,14 @@ def _freq_row_pmf(
 def _freq_tables(l: int, n_hi: int, m: int, theta: float) -> tuple[np.ndarray, np.ndarray]:
     """The log_fact and log_gamma tables of _freq_row_pmf for every row n <= n_hi.
 
-    Row n reads log k! at k <= n and k = m - il, and lgamma(theta + k) at
-    k <= n and k = n + m - i(1+l), for i <= min(n, m // l).  Each table
+    log k! comes from log_factorials.  Row n reads lgamma(theta + k) at
+    k <= n and k = n + m - i(1+l), for i <= min(n, m // l); the table
     evaluates two index ranges that cover them: k <= n_hi, and k from
-    m - l min(n_hi, m // l) up to m (log k!) or n_hi + m (lgamma).
+    m - l min(n_hi, m // l) up to n_hi + m.
     """
     far = m - l * min(n_hi, m // l)
     return (
-        log_gamma_table(1.0, max(n_hi, m) + 1, np.r_[: n_hi + 1, far : m + 1]),
+        log_factorials(max(n_hi, m) + 1),
         log_gamma_table(theta, n_hi + m + 1, np.r_[: n_hi + 1, far : n_hi + m + 1]),
     )
 
@@ -425,7 +422,7 @@ def _singleton_closed_entries(
     difference orders alive passes a larger i_hi.  extra_log must be
     finite at every n >= lo.  Valid for every theta > 0.
     """
-    log_fact = log_gamma_table(1.0, i_hi + 1)
+    log_fact = log_factorials(i_hi + 1)
     log_gamma = log_gamma_table(params.theta, 2 * i_hi + 1)
     j_lo = max(lo, 1)
     tri_i, tri_n = np.tril_indices(i_hi - j_lo + 1)

@@ -28,6 +28,7 @@ from .ewens import esf_log_prob, theta_mle
 from .pmf import Pmf
 from .posterior import (
     PredictiveQuery,
+    _require_observed,
     gt_new_lineage_prob,
     gt_singleton_prob,
     predictive_lineage_pmf,
@@ -144,10 +145,10 @@ def cmd_lineages(args) -> dict:
     return report
 
 
-def _discovery(mode: str, m: int, y: int, params: ModelParams, method: str = "mixture"):
+def _discovery(mode: str, m: int, y: int, params: ModelParams):
     if mode == "total":
         return "gt_new_lineage_prob", gt_new_lineage_prob(m, y, params)
-    return "gt_singleton_prob", gt_singleton_prob(m, y, params, method=method)
+    return "gt_singleton_prob", gt_singleton_prob(m, y, params)
 
 
 def cmd_predict(args) -> dict:
@@ -174,7 +175,12 @@ def cmd_predict(args) -> dict:
     if args.m_prime == 1:
         # the one-extra-draw discovery probabilities live on this pmf;
         # surface them next to it (the discover command returns the same)
-        key, value = _discovery(args.mode, args.m, args.y, params, args.method)
+        if args.mode == "singleton" and args.method == "closed":
+            # gt_singleton_prob(method="closed") is this law's mean
+            _require_observed(args.m, args.y)
+            key, value = "gt_singleton_prob", pmf.mean()
+        else:
+            key, value = _discovery(args.mode, args.m, args.y, params)
         report["results"][key] = value
     return report
 

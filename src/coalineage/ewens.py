@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalConditioningError
-from .numerics import _require_theta, log_rising_factorial
+from .numerics import _require_theta, log_factorials, log_rising_factorial
 
 __all__ = [
     "AlleleConfiguration",
@@ -113,10 +113,11 @@ def esf_log_prob(config: AlleleConfiguration | AllelicPartition, theta: float) -
     if isinstance(config, AllelicPartition):
         config = config.to_configuration()
     k, m = config.k, config.m
+    log_fact = log_factorials(m)  # log Gamma(c) = log (c-1)! for each count c
     return (
         k * math.log(theta)
         - log_rising_factorial(theta, m)
-        + math.fsum(math.lgamma(c) for c in config.counts)
+        + math.fsum(log_fact[c - 1] for c in config.counts)
     )
 
 

@@ -11,9 +11,10 @@ than rounding noise; otherwise callers see a NumericalConditioningError
 naming the first failing entry.  exact_count_sums is the one
 inclusion-exclusion path: every "exactly z of N events" law goes through
 it, and moment_count_sums takes it over moments that are signed sums
-themselves (the closed singleton routes).  Log-gamma values come from
-math.lgamma, in per-call tables where a kernel needs many of them,
-evaluated only at the entries the kernel reads.
+themselves (the closed singleton routes).  Every log k! is read from one
+table, log_factorials, kept for the process and grown on demand; the
+lgamma(theta + k) tables are built per call, and a kernel that reads
+few entries of a long one evaluates only those.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from .errors import NumericalConditioningError
 
 __all__ = [
     "SignedLogValue",
+    "log_factorials",
     "log_gamma_table",
     "log_rising_factorial",
     "log_binomial",
@@ -66,23 +68,11 @@ class SignedLogValue:
         if (self.sign == 0) != (self.log_magnitude == -math.inf):
             raise ValueError("sign 0 must pair with log magnitude -inf and vice versa")
 
-    @classmethod
-    def from_value(cls, x: float) -> "SignedLogValue":
-        if x == 0.0:
-            return cls(0, -math.inf)
-        return cls(1 if x > 0 else -1, math.log(abs(x)))
-
     @property
     def value(self) -> float:
         if self.sign == 0:
             return 0.0
         return self.sign * math.exp(self.log_magnitude)
-
-    def __mul__(self, other: "SignedLogValue") -> "SignedLogValue":
-        sign = self.sign * other.sign
-        if sign == 0:
-            return SignedLogValue(0, -math.inf)
-        return SignedLogValue(sign, self.log_magnitude + other.log_magnitude)
 
 
 def _require_theta(theta: float) -> None:
@@ -98,11 +88,30 @@ def _require_theta(theta: float) -> None:
         ) from None
 
 
+# log k! for k below the largest size any call has asked for
+_LOG_FACTORIALS: list = []
+
+
+def log_factorials(size: int) -> np.ndarray:
+    """log k! = lgamma(1 + k) for k = 0..size-1, as a read-only view.
+
+    Every caller reads the same table, kept for the process; a call
+    larger than any before extends it, and an entry has the same value
+    whatever size the table had when it was evaluated.
+    """
+    table = _LOG_FACTORIALS[0] if _LOG_FACTORIALS else np.zeros(0)
+    if len(table) < size:
+        table = np.concatenate((table, [math.lgamma(1.0 + k) for k in range(len(table), size)]))
+        table.flags.writeable = False
+        _LOG_FACTORIALS[:] = [table]
+    return table[:size]
+
+
 def log_gamma_table(base: float, size: int, at=None) -> np.ndarray:
     """lgamma(base + k) for k = 0..size-1.
 
-    With base 1 this is log k!; with base theta, differences of entries
-    give log rising factorials (theta + a)_n = G[a + n] - G[a].  A kernel
+    With base theta, differences of entries give log rising factorials
+    (theta + a)_n = G[a + n] - G[a]; log k! comes from log_factorials.  A kernel
     that reads few entries of a long table passes their indices as
     ``at``: only those are evaluated, the rest are nan.  An entry has the
     same value either way.
@@ -145,7 +154,8 @@ def log_binomial(n: int, k: int) -> float:
         raise ValueError(f"n must be >= 0, got {n}")
     if k < 0 or k > n:
         return -math.inf
-    return math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
+    log_fact = log_factorials(n + 1)
+    return float(log_fact[n] - log_fact[k] - log_fact[n - k])
 
 
 def signed_log_sums(
@@ -173,8 +183,8 @@ def signed_log_sums(
     return sums, log_peaks
 
 
-# log k!, log (k-z)! (+inf at k < z) and (-1)^(k-z) over the largest (z, k)
-# block built so far, up to PASCAL_KEEP a side (1 MB); a smaller block is
+# log (k-z)! (+inf at k < z) and (-1)^(k-z) over the largest (z, k) block
+# built so far, up to PASCAL_KEEP a side (1 MB); a smaller block is
 # its top-left corner, and a larger one serves its own call only
 _PASCAL: list = []
 PASCAL_KEEP = 256
@@ -191,14 +201,14 @@ def exact_count_sums(log_moments: np.ndarray, lo: int) -> tuple[np.ndarray, np.n
     """
     top = len(log_moments)
     block = _PASCAL[0] if _PASCAL else None
+    log_fact = log_factorials(top)
     if block is None or len(block[0]) < top:
-        log_fact = log_gamma_table(1.0, top)
         gap = np.arange(top) - np.arange(top)[:, None]
         gap_log_fact = np.where(gap >= 0, log_fact[np.abs(gap)], math.inf)
-        block = (log_fact, gap_log_fact, np.where(gap % 2 == 0, 1.0, -1.0))
+        block = (gap_log_fact, np.where(gap % 2 == 0, 1.0, -1.0))
         if top <= PASCAL_KEEP:
             _PASCAL[:] = [block]
-    log_fact, gap_log_fact, signs = block
+    gap_log_fact, signs = block
     k = slice(lo, top)
     log_fact = log_fact[k]
     log_terms = (log_moments[k] + log_fact)[None, :] - log_fact[:, None] - gap_log_fact[k, k]

@@ -146,11 +146,17 @@ def _log_escape(b: float, m_prime: int, y: int, weight: int) -> np.ndarray:
     return log_escape
 
 
+def _log_binomial_row(y: int) -> np.ndarray:
+    """log C(y, k), k = 0..y, each taken from the exact integer (past y = 67
+    some exceed the int64 range)."""
+    return np.array([math.log(math.comb(y, k)) for k in range(y + 1)])
+
+
 def _hit_count_pmf(log_escape: np.ndarray, m_prime: int, context: str) -> Pmf:
     """Law of how many of y given lines m' draws hit: y minus exactly the number that
     escape, whose binomial moments are C(y,k) exp(log_escape[k]), k = 0..y."""
     y = len(log_escape) - 1
-    log_moments = np.array([math.log(math.comb(y, k)) for k in range(y + 1)]) + log_escape
+    log_moments = _log_binomial_row(y) + log_escape
     sums, log_peaks = exact_count_sums(log_moments, y - min(y, m_prime))
     return Pmf.from_signed_sums(sums[::-1], log_peaks[::-1], 0, context=context)
 
@@ -278,7 +284,7 @@ def predictive_singleton_pmf(query: PredictiveQuery, method: str = "mixture") ->
         sums[:1, 0], log_peaks[:1, 0], lambda r: event, "use the mixture route"
     )
     # moment k: C(y,k) times the chance that k given lines escape, gated after the division
-    log_peaks = log_peaks[:, 0] + np.log([math.comb(y, k) for k in range(y + 1)])
+    log_peaks = log_peaks[:, 0] + _log_binomial_row(y)
     log_peaks -= math.log(_conditioning_mass(float(marginal), event))
     sums, log_peaks = moment_count_sums(sums[:, 0], log_peaks, y - min(y, m_prime))
     return Pmf.from_signed_sums(sums[::-1], log_peaks[::-1], 0, context="hit singleton count")

@@ -438,6 +438,7 @@ class TestBlockKernels:
                        ancestral.r_pmf, ancestral.r_freq_pmf):
             cached.cache_clear()
         numerics._PASCAL.clear()
+        numerics._LOG_FACTORIALS.clear()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for m in KERNEL_M:

@@ -15,6 +15,7 @@ from pathlib import Path
 
 import pytest
 
+from coalineage import posterior
 from coalineage.ancestral import ModelParams, lineage_pmf, singleton_lineage_pmf, tmrca_cdf
 from coalineage.cli import build_parser, main, narrowest_interval95
 
@@ -277,6 +278,43 @@ class TestPredict:
         )
         assert code == 3
         assert "negligible" in err
+
+    def test_closed_singleton_past_int64_binomials_exit_3(self, capsys):
+        code, out, err = run_cli(
+            capsys, "predict", "--m", "80", "--m-prime", "1", "--y", "70",
+            "--theta", "1000", "--t", "1", "--mode", "singleton", "--method", "closed",
+        )
+        assert code == 3
+        assert "negligible" in err
+
+    @pytest.mark.parametrize("mode", ["total", "singleton"])
+    @pytest.mark.parametrize("method", ["mixture", "closed"])
+    def test_one_draw_without_observation_is_usage_error(self, capsys, mode, method):
+        # the discovery probabilities need an observed sample, m >= 1
+        code, out, err = run_cli(
+            capsys, "predict", "--m", "0", "--m-prime", "1", "--y", "0",
+            "--theta", "1", "--t", "1", "--mode", mode, "--method", method,
+        )
+        assert code == 2
+        assert "m must be >= 1" in err
+
+    @pytest.mark.parametrize("y", [0, 2])
+    def test_closed_singleton_discovery_reuses_the_law(self, capsys, monkeypatch, y):
+        calls = []
+        kernel = posterior._singleton_closed_entries
+
+        def counted(*args):
+            calls.append(args)
+            return kernel(*args)
+
+        monkeypatch.setattr(posterior, "_singleton_closed_entries", counted)
+        report = run_json(
+            capsys, "predict", "--m", "10", "--m-prime", "1", "--y", str(y),
+            "--theta", "9.5", "--t", "0.34", "--mode", "singleton", "--method", "closed",
+        )
+        assert len(calls) == 1
+        expected = posterior.gt_singleton_prob(10, y, ModelParams(9.5, 0.34), method="closed")
+        assert report["results"]["gt_singleton_prob"] == expected
 
     def test_json_schema_keys(self, capsys):
         report = run_json(

@@ -7,13 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coalineage.ancestral import r_freq_pmf
+from coalineage.ancestral import ModelParams, lineage_pmf, r_freq_pmf, r_pmf
 from coalineage.errors import NumericalConditioningError
 from coalineage import numerics
 from coalineage.numerics import (
     SignedLogValue,
     exact_count_sums,
     log_binomial,
+    log_factorials,
     log_gamma_table,
     log_rising_factorial,
     reliable_values,
@@ -101,13 +102,37 @@ class TestLogFactorials:
             assert np.isnan(np.delete(sparse, at)).all()
 
 
-class TestSignedLogValue:
-    @given(st.floats(min_value=-1e300, max_value=1e300, allow_nan=False))
-    def test_round_trip(self, x):
-        # the trip costs one rounding of log(x), i.e. |log x| * eps relative
-        slv = SignedLogValue.from_value(x)
-        np.testing.assert_allclose(slv.value, x, rtol=1e-13)
+class TestLogFactorialTable:
+    def test_matches_lgamma_after_growth_in_steps(self, monkeypatch):
+        monkeypatch.setattr(numerics, "_LOG_FACTORIALS", [])
+        for size in (0, 1, 7, 3, 40, 41, 300):
+            assert log_factorials(size).tolist() == [math.lgamma(1.0 + k) for k in range(size)]
 
+    def test_view_is_read_only(self):
+        view = log_factorials(10)
+        with pytest.raises(ValueError):
+            view[3] = 0.0
+
+    def test_laws_do_not_depend_on_table_size(self, monkeypatch):
+        laws = (
+            lambda: r_pmf.__wrapped__(300, 1000, 9.5),
+            lambda: r_freq_pmf.__wrapped__(1, 40, 1000, 9.5),
+            lambda: lineage_pmf.__wrapped__(1000, ModelParams(9.5, 0.34)),
+        )
+
+        def run(law):
+            pmf = law()
+            return pmf.probs.tobytes(), repr(pmf.mass_defect)
+
+        cold = []
+        for law in laws:
+            monkeypatch.setattr(numerics, "_LOG_FACTORIALS", [])
+            cold.append(run(law))
+        log_factorials(5001)
+        assert [run(law) for law in laws] == cold
+
+
+class TestSignedLogValue:
     def test_invalid_sign_rejected(self):
         with pytest.raises(ValueError):
             SignedLogValue(2, 0.0)
@@ -115,12 +140,6 @@ class TestSignedLogValue:
             SignedLogValue(0, 0.0)
         with pytest.raises(ValueError):
             SignedLogValue(1, -math.inf)
-
-    def test_product(self):
-        a = SignedLogValue.from_value(-3.0)
-        b = SignedLogValue.from_value(4.0)
-        np.testing.assert_allclose((a * b).value, -12.0, rtol=1e-14)
-        assert (a * SignedLogValue(0, -math.inf)).sign == 0
 
 
 def alternating_exp_terms(x: float, count: int):

@@ -417,6 +417,19 @@ class TestPredictiveSingleton:
                 continue
             assert closed.tv_distance(predictive_singleton_pmf(q)) <= 1e-8, (m, m_prime, y)
 
+    def test_closed_route_refuses_where_binomials_pass_int64(self):
+        # C(70, 35) exceeds 2**63; the closed routes must reach their
+        # marginal gate, as the mixture route does, not fail on that row
+        params = ModelParams(1000.0, 1.0)
+        q = PredictiveQuery(80, 1, 70, params)
+        for route in (
+            lambda: predictive_singleton_pmf(q),
+            lambda: predictive_singleton_pmf(q, method="closed"),
+            lambda: gt_singleton_prob(80, 70, params, method="closed"),
+        ):
+            with pytest.raises(NumericalConditioningError, match="negligible mass"):
+                route()
+
     def test_support_and_mass(self):
         q = PredictiveQuery(m=9, m_prime=3, y=5, params=ModelParams(1.0, 0.4))
         pmf = predictive_singleton_pmf(q)
