@@ -10,9 +10,11 @@ turns those arrays into numbers only where the surviving digits are more
 than rounding noise; otherwise callers see a NumericalConditioningError
 naming the first failing entry.  exact_count_sums is the one
 inclusion-exclusion path: every "exactly z of N events" law goes through
-it, and moment_count_sums takes it over moments that are signed sums
-themselves (the closed singleton routes).  Every log k! is read from one
-table, log_factorials, kept for the process and grown on demand; the
+it, one row or a stack of levels at a time, in blocks of at most
+BLOCK_TERMS floats, and moment_count_sums takes it over moments that are
+signed sums themselves (the closed singleton routes).  Every log k! is
+read from one table, log_factorials, kept for the process and grown on
+demand (log_binomial reads lgamma past its end rather than grow it); the
 lgamma(theta + k) tables are built per call, and a kernel that reads
 few entries of a long one evaluates only those.
 """
@@ -154,8 +156,12 @@ def log_binomial(n: int, k: int) -> float:
         raise ValueError(f"n must be >= 0, got {n}")
     if k < 0 or k > n:
         return -math.inf
-    log_fact = log_factorials(n + 1)
-    return float(log_fact[n] - log_fact[k] - log_fact[n - k])
+    # past the kept table, lgamma gives the table's own entries without growing it
+    table = _LOG_FACTORIALS[0] if _LOG_FACTORIALS else ()
+    log_n_fact, log_k_fact, log_gap_fact = (
+        float(table[j]) if j < len(table) else math.lgamma(1.0 + j) for j in (n, k, n - k)
+    )
+    return log_n_fact - log_k_fact - log_gap_fact
 
 
 def signed_log_sums(
@@ -172,15 +178,18 @@ def signed_log_sums(
     when the digits that survive are rounding error.  Each row is shifted
     by its own peak and its scaled mantissas are combined with
     math.fsum, which is exact, so a sum differs from the true sum of the
-    rounded terms only by the final rounding.
+    rounded terms only by the final rounding.  log_terms may have more
+    leading axes than one: every axis but the last indexes rows, the
+    results keep those axes, and signs broadcasts against it.
     """
     log_terms = np.asarray(log_terms, dtype=float)
-    log_peaks = log_terms.max(axis=1, initial=-math.inf)
+    log_peaks = log_terms.max(axis=-1, initial=-math.inf)
     shift = np.where(log_peaks > -math.inf, log_peaks, 0.0)
-    scaled = np.asarray(signs, dtype=float) * np.exp(log_terms - shift[:, None])
+    scaled = np.asarray(signs, dtype=float) * np.exp(log_terms - shift[..., None])
     # row by row, so no Python list of the whole block is built
-    sums = np.array([math.fsum(row.tolist()) for row in scaled], dtype=float)
-    return sums, log_peaks
+    rows = scaled.reshape(log_peaks.size, scaled.shape[-1])
+    sums = np.fromiter(map(math.fsum, map(np.ndarray.tolist, rows)), float, log_peaks.size)
+    return sums.reshape(log_peaks.shape), log_peaks
 
 
 # log (k-z)! (+inf at k < z) and (-1)^(k-z) over the largest (z, k) block
@@ -188,6 +197,9 @@ def signed_log_sums(
 # its top-left corner, and a larger one serves its own call only
 _PASCAL: list = []
 PASCAL_KEEP = 256
+# floats in one signed_log_sums block of exact_count_sums (512 KB); a
+# row longer than this is a block of its own
+BLOCK_TERMS = 1 << 16
 
 
 def exact_count_sums(log_moments: np.ndarray, lo: int) -> tuple[np.ndarray, np.ndarray]:
@@ -198,8 +210,17 @@ def exact_count_sums(log_moments: np.ndarray, lo: int) -> tuple[np.ndarray, np.n
     read.  Entry z is the sum over k = z..N of (-1)^(k-z) C(k,z) S_k, each
     term taken as k! S_k / (z! (k-z)!), so its log peak is the largest
     log C(k,z) + log S_k.
+
+    log_moments may also be a stack of such rows, one per level (levels x
+    (N+1)), and the results are stacked the same way; a level with fewer
+    events pads its row with -inf, and its entries past its own N come
+    out as exact zeros, (0.0, -inf).  The (level, z, k) terms go to
+    signed_log_sums in blocks of whole levels, or of rows z within one
+    level, of at most BLOCK_TERMS floats (one row if it is longer), so
+    each entry has the same bits whatever stack it was summed in, and a
+    single row is the one-level stack.
     """
-    top = len(log_moments)
+    top = log_moments.shape[-1]
     block = _PASCAL[0] if _PASCAL else None
     log_fact = log_factorials(top)
     if block is None or len(block[0]) < top:
@@ -208,11 +229,28 @@ def exact_count_sums(log_moments: np.ndarray, lo: int) -> tuple[np.ndarray, np.n
         block = (gap_log_fact, np.where(gap % 2 == 0, 1.0, -1.0))
         if top <= PASCAL_KEEP:
             _PASCAL[:] = [block]
-    gap_log_fact, signs = block
     k = slice(lo, top)
+    gap_log_fact, signs = block[0][k, k], block[1][k, k]
     log_fact = log_fact[k]
-    log_terms = (log_moments[k] + log_fact)[None, :] - log_fact[:, None] - gap_log_fact[k, k]
-    return signed_log_sums(log_terms, signs[k, k])
+    lead, width = log_moments.shape[:-1], top - lo
+    # (levels, z, k) terms; a single row has no levels axis
+    weighted = (log_moments[..., k] + log_fact)[..., None, :]
+    if len(weighted) * width * width <= BLOCK_TERMS:
+        return signed_log_sums(weighted - log_fact[:, None] - gap_log_fact, signs)
+    # a block is whole levels, or rows z of one level: a run of entries in row order
+    z_step = min(width, BLOCK_TERMS // width) or 1
+    level_step = BLOCK_TERMS // (z_step * width) or 1
+    blocks = [
+        signed_log_sums(
+            weighted[a : a + level_step] - log_fact[z, None] - gap_log_fact[z], signs[z]
+        )
+        for a in range(0, len(weighted), level_step)
+        for z in [slice(c, c + z_step) for c in range(0, width, z_step)]
+    ]
+    return tuple(
+        np.concatenate([np.ravel(part[i]) for part in blocks]).reshape(*lead, width)
+        for i in (0, 1)
+    )
 
 
 def moment_count_sums(
@@ -242,7 +280,8 @@ def reliable_values(
     is refused.  A negative value within the larger of CLIP_FLOOR and the
     noise scale is clipped to zero; a larger negative is refused.  The
     refusal names the first failing entry r in index order as what(r);
-    ``remedy`` names the way around it.
+    ``remedy`` names the way around it.  Stacked rows are gated entry by
+    entry the same way, and r is then the flat index.
     """
     noise = np.exp(np.minimum(log_peaks - LOG_NOISE_SHIFT, 700.0))
     noisy = noise > ENTRY_NOISE_BUDGET
@@ -251,15 +290,15 @@ def reliable_values(
     refused = noisy | (values < -np.maximum(CLIP_FLOOR, noise))
     if refused.any():
         r = int(np.argmax(refused))
-        ratio = abs(float(sums[r]))
-        if noisy[r]:
+        ratio = abs(float(sums.flat[r]))
+        if noisy.flat[r]:
             raise NumericalConditioningError(
                 f"{what(r)} lost all significant digits (cancellation ratio "
-                f"{ratio:.2e}, noise scale {noise[r]:.2e}); {remedy}",
+                f"{ratio:.2e}, noise scale {noise.flat[r]:.2e}); {remedy}",
                 cancellation_ratio=ratio,
             )
         raise NumericalConditioningError(
-            f"{what(r)} is negative beyond the clipping floor ({values[r]:.3e})",
+            f"{what(r)} is negative beyond the clipping floor ({values.flat[r]:.3e})",
             cancellation_ratio=ratio,
         )
     return np.maximum(values, 0.0)

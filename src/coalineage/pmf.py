@@ -105,6 +105,35 @@ class Pmf:
         return cls._mass_checked(values, support_offset, renormalize, context)
 
     @classmethod
+    def from_signed_rows(
+        cls, sums: np.ndarray, log_peaks: np.ndarray, support_offset: int, context: str
+    ) -> list["Pmf"]:
+        """from_signed_sums of each row of (rows x entries) stacks, gated in one pass.
+
+        Every row is gated, mass-checked and renormalized as
+        from_signed_sums does it, with the same bits.  If any row fails,
+        the rows are assembled one at a time instead, so the first failing
+        row raises its own refusal.
+        """
+        try:
+            # a refusal here is raised again below, by its row and with its message
+            values = reliable_values(sums, log_peaks, str, "")
+        except NumericalConditioningError:
+            values = None
+        if values is not None:
+            totals = values.sum(axis=1)
+            defects = np.abs(1.0 - totals)
+            if np.all(defects <= MASS_TOLERANCE):
+                return [
+                    cls(support_offset, row, float(defect), renormalized=bool(defect > 1e-15))
+                    for row, defect in zip(values / totals[:, None], defects)
+                ]
+        return [
+            cls.from_signed_sums(row, peaks, support_offset, context=context)
+            for row, peaks in zip(sums, log_peaks)
+        ]
+
+    @classmethod
     def from_floats(
         cls,
         probs,

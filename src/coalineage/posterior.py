@@ -11,7 +11,9 @@ mixture over the line-count posterior, whose weights are all positive
 (the production path), and the direct closed form, kept as a cross-check
 because its alternating sums cancel harder.  Both hit-count routes are
 escape moments, then one inclusion-exclusion (numerics.exact_count_sums).
-Closed singleton routes condition on their own kernel's marginal.
+The mixture singleton predictive builds one hit table per query, every
+posterior level that carries weight summed as one stack and gated row by
+row.  Closed singleton routes condition on their own kernel's marginal.
 """
 
 from __future__ import annotations
@@ -133,16 +135,15 @@ def cond_r_pmf(n: int, m: int, m_prime: int, y: int, theta: float) -> Pmf:
     return replace(_r_pmf_uncached(n - y, m_prime, theta + m + y), support_offset=y)
 
 
-def _log_escape(b: float, m_prime: int, y: int, weight: int) -> np.ndarray:
-    """log (b - k weight)_m' / (b)_m', k = 0..y: the chance that k given lines,
-    each of urn weight `weight` in a total b, escape m' draws, taken as the
-    product of u / (u + m') over u = b - k weight .. b - 1."""
-    log_escape = np.zeros(y + 1)
-    total = 0.0
-    for w in range(1, y * weight + 1):
-        total += math.log((b - w) / (b - w + m_prime))
-        if w % weight == 0:
-            log_escape[w // weight] = total
+def _log_escape(totals: np.ndarray, m_prime: int, y: int, weight: int) -> np.ndarray:
+    """log (b - k weight)_m' / (b)_m', k = 0..y, one row per urn total b in totals:
+    the chance that k given lines, each of urn weight `weight` in a total b, escape
+    m' draws, taken as the running sum of math.log(u / (u + m')) over
+    u = b - 1 down to b - k weight."""
+    u = np.subtract.outer(totals, np.arange(1, y * weight + 1))
+    log_ratios = list(map(math.log, (u / (u + m_prime)).ravel().tolist()))
+    log_escape = np.zeros((len(totals), y + 1))
+    log_escape[:, 1:] = np.cumsum(np.reshape(log_ratios, u.shape), axis=1)[:, weight - 1 :: weight]
     return log_escape
 
 
@@ -152,13 +153,14 @@ def _log_binomial_row(y: int) -> np.ndarray:
     return np.array([math.log(math.comb(y, k)) for k in range(y + 1)])
 
 
-def _hit_count_pmf(log_escape: np.ndarray, m_prime: int, context: str) -> Pmf:
-    """Law of how many of y given lines m' draws hit: y minus exactly the number that
-    escape, whose binomial moments are C(y,k) exp(log_escape[k]), k = 0..y."""
-    y = len(log_escape) - 1
+def _hit_count_pmfs(log_escape: np.ndarray, m_prime: int, context: str) -> list[Pmf]:
+    """Laws of how many of y given lines m' draws hit, one per row of log_escape:
+    y minus exactly the number that escape, whose binomial moments are
+    C(y,k) exp(log_escape[row, k]), k = 0..y; every row in one pass."""
+    y = log_escape.shape[1] - 1
     log_moments = _log_binomial_row(y) + log_escape
     sums, log_peaks = exact_count_sums(log_moments, y - min(y, m_prime))
-    return Pmf.from_signed_sums(sums[::-1], log_peaks[::-1], 0, context=context)
+    return Pmf.from_signed_rows(sums[:, ::-1], log_peaks[:, ::-1], 0, context)
 
 
 def cond_r_freq_pmf(l: int, n: int, m: int, m_prime: int, y: int, theta: float) -> Pmf:
@@ -171,7 +173,10 @@ def cond_r_freq_pmf(l: int, n: int, m: int, m_prime: int, y: int, theta: float) 
     if l < 1:
         raise ValueError(f"l must be >= 1, got {l}")
     _validate_conditional_args(n, m, m_prime, y, theta, y_cap=min(n, m // l))
-    return _hit_count_pmf(_log_escape(theta + n + m, m_prime, y, 1 + l), m_prime, "hit type count")
+    (law,) = _hit_count_pmfs(
+        _log_escape(np.array([theta + n + m]), m_prime, y, 1 + l), m_prime, "hit type count"
+    )
+    return law
 
 
 def n_posterior(m: int, y: int, params: ModelParams, mode: str = "total") -> Pmf:
@@ -266,17 +271,23 @@ def predictive_singleton_pmf(query: PredictiveQuery, method: str = "mixture") ->
         return _point_mass(0)
     theta = params.theta
     if method == "mixture":
+        weights = n_posterior(m, y, params, mode="singleton").probs
+        # cond_r_freq_pmf(1, n, m, m_prime, y, theta) at every level n that carries weight
+        levels = np.flatnonzero(weights)
+        table = _hit_count_pmfs(
+            _log_escape(theta + levels + m, m_prime, y, 2), m_prime, "hit type count"
+        )
         return Pmf.from_mixture(
-            n_posterior(m, y, params, mode="singleton").probs,
-            lambda n: cond_r_freq_pmf(1, n, m, m_prime, y, theta),
+            weights,
+            dict(zip(levels.tolist(), table)).__getitem__,
             0,
             min(y, m_prime) + 1,
             context="hit singleton count",
         )
     # row k, column n >= y: the chance that k given singleton lines escape all m' draws
-    escape = [_log_escape(theta + n + m, m_prime, y, 2) for n in range(y, m + m_prime + 1)]
+    escape = _log_escape(theta + np.arange(y, m + m_prime + 1) + m, m_prime, y, 2)
     sums, log_peaks = _singleton_closed_entries(
-        m, y, params, m + m_prime, np.pad(np.transpose(escape), ((0, 0), (y, 0)))
+        m, y, params, m + m_prime, np.pad(escape.T, ((0, 0), (y, 0)))
     )
     # column 0 holds entry y; row 0 escapes nothing, so it is the marginal
     event = f"P[singleton count = {y}]"

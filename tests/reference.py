@@ -2,10 +2,11 @@
 
 Exact combinatorial counts, falling factorials and factorial moments give
 independent checks on the analytic laws.  The entry-by-entry enlarged
-type count is the reference for the shifted prior urn law.  The one-row
-signed sum, the per-entry gate, the row-by-row line-count series and the
-entry-by-entry frequency-level urn law are the references for the
-production block kernels and array gates.  The block-process step, the
+type count is the reference for the shifted prior urn law, and the
+level-by-level hit laws for the singleton predictive's one-pass hit
+table.  The one-row signed sum, the per-entry gate, the row-by-row
+line-count series and the entry-by-entry frequency-level urn law are the
+references for the production block kernels and array gates.  The block-process step, the
 event-by-event block process and the death-process sampler are the
 oracles the factored production simulator is compared against.  The
 forward urn samplers draw from the law that the exact enumeration
@@ -21,6 +22,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from coalineage import posterior
 from coalineage.ancestral import ModelParams, _last_index
 from coalineage.errors import NumericalConditioningError
 from coalineage.ewens import AllelicPartition
@@ -29,6 +31,7 @@ from coalineage.numerics import (
     ENTRY_NOISE_BUDGET,
     LOG_NOISE_SHIFT,
     SignedLogValue,
+    exact_count_sums,
     log_binomial,
     log_gamma_table,
     log_rising_factorial,
@@ -324,6 +327,40 @@ def r_freq_pmf_by_entry(l: int, n: int, m: int, theta: float) -> Pmf:
         signs = np.where((i[x:] - x) % 2 == 0, 1.0, -1.0)
         entries.append(signed_log_sum(log_terms, signs))
     return pmf_by_entry(entries, "frequency-level type count")
+
+
+def log_escape_by_step(b: float, m_prime: int, y: int, weight: int) -> np.ndarray:
+    """posterior._log_escape for one urn total b, one step of the running sum at a time."""
+    log_escape = np.zeros(y + 1)
+    total = 0.0
+    for w in range(1, y * weight + 1):
+        total += math.log((b - w) / (b - w + m_prime))
+        if w % weight == 0:
+            log_escape[w // weight] = total
+    return log_escape
+
+
+def cond_r_freq_pmf_by_level(l: int, n: int, m: int, m_prime: int, y: int, theta: float) -> Pmf:
+    """posterior.cond_r_freq_pmf built on its own: the one-total escape loop, one
+    exact_count_sums row and from_signed_sums, with no stack of levels."""
+    _validate_conditional_args(n, m, m_prime, y, theta, y_cap=min(n, m // l))
+    log_binomials = np.array([math.log(math.comb(y, k)) for k in range(y + 1)])
+    log_moments = log_binomials + log_escape_by_step(theta + n + m, m_prime, y, 1 + l)
+    sums, log_peaks = exact_count_sums(log_moments, y - min(y, m_prime))
+    return Pmf.from_signed_sums(sums[::-1], log_peaks[::-1], 0, context="hit type count")
+
+
+def predictive_singleton_by_level(query) -> Pmf:
+    """The mixture posterior.predictive_singleton_pmf at m, m' >= 1, with each
+    level's hit law built on its own by cond_r_freq_pmf_by_level, in increasing n."""
+    m, m_prime, y, params = query.m, query.m_prime, query.y, query.params
+    return Pmf.from_mixture(
+        posterior.n_posterior(m, y, params, mode="singleton").probs,
+        lambda n: cond_r_freq_pmf_by_level(1, n, m, m_prime, y, params.theta),
+        0,
+        min(y, m_prime) + 1,
+        context="hit singleton count",
+    )
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 import warnings
 from fractions import Fraction
 
@@ -92,6 +95,31 @@ class TestLogFactorials:
                 )
         assert log_binomial(5, 6) == -math.inf
         assert log_binomial(5, -1) == -math.inf
+
+    def test_binomial_past_the_table_leaves_it_alone(self):
+        # a fresh interpreter starts with an empty log k! table; a lone call
+        # at large n reads lgamma for its three entries instead of growing
+        # the table to n + 1, and gives the table's own values.  lgamma(1e6 + 1)
+        # is near 1.3e7, so the difference carries ~1e-9 of absolute rounding
+        code = """
+import math, time
+from coalineage import numerics
+start = time.perf_counter()
+value = numerics.log_binomial(10**6, 3)
+elapsed = time.perf_counter() - start
+assert numerics._LOG_FACTORIALS == [], len(numerics._LOG_FACTORIALS[0])
+assert elapsed < 0.05, elapsed
+assert math.isclose(value, math.log(math.comb(10**6, 3)), rel_tol=1e-10), value
+past = [numerics.log_binomial(5000, k) for k in (0, 3, 2500, 4999)]
+numerics.log_factorials(5001)
+assert [numerics.log_binomial(5000, k) for k in (0, 3, 2500, 4999)] == past
+"""
+        src = os.path.join(os.path.dirname(numerics.__file__), os.pardir)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
+        )
+        assert proc.returncode == 0, proc.stderr
 
     def test_gamma_table_at_indices_matches_full_table(self):
         for base in (1.0, 0.79, 9.5):
@@ -256,6 +284,42 @@ class TestExactCountSums:
                 # rows past lo are the same sums, bit for bit
                 assert sums.tolist() == full[lo:].tolist()
         assert len(numerics._PASCAL[0][0]) == 13
+
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_stack_matches_row_by_row(self, data):
+        # each level of a stack, padded with -inf past its own moments, gives
+        # the bits of its own one-row call, whatever block size cuts the stack
+        top = data.draw(st.integers(1, 24), label="top")
+        lo = data.draw(st.integers(0, top), label="lo")
+        lengths = data.draw(st.lists(st.integers(0, top), min_size=1, max_size=6), label="lengths")
+        stack = np.full((len(lengths), top), -math.inf)
+        for row, length in zip(stack, lengths):
+            steps = data.draw(
+                st.lists(st.floats(0.0, 8.0), min_size=length, max_size=length), label="steps"
+            )
+            row[:length] = 3.0 - np.cumsum(steps)
+        block_terms = data.draw(st.sampled_from([1, 5, 64, numerics.BLOCK_TERMS]), label="block")
+        kept = numerics.BLOCK_TERMS
+        numerics.BLOCK_TERMS = block_terms
+        try:
+            sums, log_peaks = exact_count_sums(stack, lo)
+        finally:
+            numerics.BLOCK_TERMS = kept
+        assert sums.shape == log_peaks.shape == (len(lengths), top - lo)
+        for r, length in enumerate(lengths):
+            width = max(0, length - lo)
+            if width:
+                row_sums, row_peaks = exact_count_sums(stack[r, :length], lo)
+                assert sums[r, :width].tobytes() == row_sums.tobytes()
+                assert log_peaks[r, :width].tobytes() == row_peaks.tobytes()
+            # entries past a level's own moments are exact zeros
+            assert sums[r, width:].tolist() == [0.0] * (top - lo - width)
+            assert log_peaks[r, width:].tolist() == [-math.inf] * (top - lo - width)
+        if len(lengths) == 1:
+            row_sums, row_peaks = exact_count_sums(stack[0], lo)
+            assert sums[0].tobytes() == row_sums.tobytes()
+            assert log_peaks[0].tobytes() == row_peaks.tobytes()
 
     def test_kept_pascal_block_is_bounded(self):
         # a block larger than PASCAL_KEEP a side serves its own call only

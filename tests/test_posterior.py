@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -13,8 +14,10 @@ from coalineage.ancestral import (
     singleton_lineage_pmf,
 )
 from coalineage.enumeration import enumerate_sequences, oracle_pmf_exact
+from coalineage import numerics, posterior
 from coalineage.errors import NumericalConditioningError
 from coalineage.numerics import ENTRY_NOISE_BUDGET
+from coalineage.pmf import Pmf
 from coalineage.posterior import (
     PredictiveQuery,
     cond_r_freq_pmf,
@@ -25,7 +28,14 @@ from coalineage.posterior import (
     predictive_lineage_pmf,
     predictive_singleton_pmf,
 )
-from reference import cond_r_pmf_by_entry, factorial_moment_r, factorial_moment_r_freq
+from reference import (
+    cond_r_freq_pmf_by_level,
+    cond_r_pmf_by_entry,
+    factorial_moment_r,
+    factorial_moment_r_freq,
+    log_escape_by_step,
+    predictive_singleton_by_level,
+)
 
 PARAMS = ModelParams(1.0, 0.5)
 
@@ -436,6 +446,137 @@ class TestPredictiveSingleton:
         assert pmf.support_offset == 0 and len(pmf.probs) == 4
         np.testing.assert_allclose(pmf.probs.sum(), 1.0, atol=1e-12)
         assert 0.0 <= pmf.mean() <= 3.0
+
+
+def law_or_refusal(build):
+    """A law's exact bits, or its refusal's type and message."""
+    try:
+        law = build()
+    except (NumericalConditioningError, ValueError) as err:
+        return type(err).__name__, str(err)
+    return law.support_offset, law.probs.tobytes(), law.mass_defect, law.renormalized
+
+
+# exact float64 results of the level-by-level hit laws that the one-pass
+# table replaced, frozen from that code; the closed route and
+# gt_singleton_prob are pinned to the same code's values
+COND_R_FREQ_FROZEN = {
+    (1, 5, 8, 4, 3, 9.5): [0.315334644496096, 0.49798302299643155, 0.1744765991502998,
+                           0.012205733357172684],
+    (1, 120, 146, 1, 20, 9.5): [0.8548094373865808, 0.1451905626134192],
+    (3, 40, 146, 4, 20, 20.0): [0.14253671946539312, 0.3749585895141282, 0.3403420837009355,
+                                0.1261043726260681, 0.016058234693475115],
+}
+CLOSED_SINGLETON_FROZEN = {
+    (8, 4, 3, 9.5, 0.34): [0.2993334943097645, 0.501319335354478, 0.1856602972627848,
+                           0.013686873072972684],
+    (25, 4, 6, 0.5, 1.0): [0.1668321156111692, 0.4335418422151999, 0.31879304584799306,
+                           0.07612855461488262, 0.004704441710755155],
+    (146, 1, 3, 9.5, 0.34): [0.9625228553482853, 0.03747714465171473],
+}
+GT_SINGLETON_FROZEN = {
+    # (m, y, theta, t): (mixture, closed)
+    (8, 3, 9.5, 0.34): (0.2779128713519163, 0.2779128713519137),
+    (25, 1, 20.0, 0.15): (0.03961551164615446, 0.03961551164630395),
+    (146, 3, 9.5, 0.34): (0.03747714465171842, 0.03747714465171473),
+}
+
+
+class TestHitTable:
+    def test_mixture_matches_level_by_level_reference(self):
+        # bit for bit, refusals and their messages included, over the grid
+        # the one-pass table must not move
+        refused = 0
+        for m, m_prime, y, theta, t in itertools.product(
+            (8, 25, 146), (1, 4, 50, 200), (0, 1, 3, 6, 20), (0.5, 9.5, 20.0), (0.15, 0.34, 1.0)
+        ):
+            if y > m:
+                continue
+            q = PredictiveQuery(m, m_prime, y, ModelParams(theta, t))
+            got = law_or_refusal(lambda: predictive_singleton_pmf(q))
+            assert got == law_or_refusal(lambda: predictive_singleton_by_level(q)), q
+            refused += isinstance(got[1], str)
+        assert refused > 50
+
+    @pytest.mark.parametrize(
+        "y, levels, message",
+        [
+            # level 40 passes, 120 is the first to fail, 130 would fail too
+            (20, (40, 120, 130), "entry at 19 is negative"),
+            # both fail, and the lower level is named
+            (40, (120, 40), "entry at 15 lost all significant digits"),
+        ],
+    )
+    def test_first_failing_level_is_refused(self, monkeypatch, y, levels, message):
+        # these levels carry no posterior weight at any t the population law
+        # reaches, so a stand-in posterior puts weight on them
+        weights = np.zeros(max(levels) + 1)
+        weights[list(levels)] = 1.0 / len(levels)
+        monkeypatch.setattr(posterior, "n_posterior", lambda *args, **kwargs: Pmf(0, weights, 0.0))
+        q = PredictiveQuery(146, 50, y, ModelParams(9.5, 0.34))
+        got = law_or_refusal(lambda: predictive_singleton_pmf(q))
+        assert got == law_or_refusal(lambda: predictive_singleton_by_level(q))
+        assert got[0] == "NumericalConditioningError" and message in got[1]
+
+    def test_cond_r_freq_matches_level_by_level_reference(self):
+        for l, n, m, m_prime, y, theta in itertools.product(
+            (1, 2, 3), (0, 5, 40, 120), (0, 7, 50, 146), (0, 1, 4, 50, 200), (0, 1, 6, 20, 40),
+            (0.5, 9.5, 20.0),
+        ):
+            args = (l, n, m, m_prime, y, theta)
+            assert law_or_refusal(lambda: cond_r_freq_pmf(*args)) == law_or_refusal(
+                lambda: cond_r_freq_pmf_by_level(*args)
+            ), args
+        for args, probs in COND_R_FREQ_FROZEN.items():
+            assert cond_r_freq_pmf(*args).probs.tolist() == probs, args
+
+    def test_escape_table_matches_the_one_total_loop(self):
+        # the closed route's escape block is one _log_escape call over every n
+        for m, m_prime, y, theta in ((8, 4, 3, 9.5), (25, 200, 20, 0.5), (146, 50, 6, 20.0)):
+            totals = theta + np.arange(y, m + m_prime + 1) + m
+            table = posterior._log_escape(totals, m_prime, y, 2)
+            for row, b in zip(table, totals.tolist()):
+                assert row.tobytes() == log_escape_by_step(b, m_prime, y, 2).tobytes()
+
+    def test_closed_route_and_discovery_keep_their_values(self):
+        for (m, m_prime, y, theta, t), probs in CLOSED_SINGLETON_FROZEN.items():
+            q = PredictiveQuery(m, m_prime, y, ModelParams(theta, t))
+            assert predictive_singleton_pmf(q, method="closed").probs.tolist() == probs
+        for (m, y, theta, t), values in GT_SINGLETON_FROZEN.items():
+            params = ModelParams(theta, t)
+            got = tuple(gt_singleton_prob(m, y, params, method) for method in ("mixture", "closed"))
+            assert got == values
+
+    def test_kernel_blocks_follow_the_table_not_the_levels(self, monkeypatch):
+        # 146 singletons among 146 draws have negligible posterior mass at
+        # every t the population law reaches, so a stand-in posterior sets
+        # the level count; the whole table is summed before any level is gated
+        blocks = []
+        real = numerics.signed_log_sums
+
+        def counted(log_terms, signs):
+            blocks.append(np.size(log_terms))
+            return real(log_terms, signs)
+
+        monkeypatch.setattr(numerics, "signed_log_sums", counted)
+        for y in (3, 146):
+            width = y + 1
+            per_block = max(1, numerics.BLOCK_TERMS // width**2)
+            for levels in (9, 40):
+                weights = np.zeros(146 + levels)
+                weights[146:] = 1.0 / levels
+                monkeypatch.setattr(
+                    posterior, "n_posterior", lambda *args, **kwargs: Pmf(0, weights, 0.0)
+                )
+                blocks.clear()
+                try:
+                    predictive_singleton_pmf(PredictiveQuery(146, 200, y, ModelParams(9.5, 0.34)))
+                except NumericalConditioningError:
+                    pass  # a level's law may be refused; the table is built first
+                # at y = 3 the whole table is one block; at y = 146 each
+                # block holds as many whole levels as BLOCK_TERMS allows
+                assert len(blocks) == math.ceil(levels / per_block) < levels
+                assert max(blocks) <= numerics.BLOCK_TERMS
 
 
 class TestGoodTuring:
