@@ -54,7 +54,7 @@ MAX_ANCESTRAL_N = 5000
 TAIL_LOG = 80.0
 # floats per (x, i) block of the line-count series; longer series are
 # summed in row chunks, so transient memory stays bounded
-SERIES_BLOCK_TERMS = 1 << 14
+BLOCK_TERMS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -135,8 +135,8 @@ def _line_count_entries(
     (-1)^(i+x) (2i-1+theta) e^(-t i(i-1+theta)/2) C(i,x) (x+theta)_(i-1) w_i,
     where log_w[i] = log w_i for i = 0..I.  Rows x <= I form one (x, i)
     block padded with -inf below i = x, summed in chunks of at most
-    SERIES_BLOCK_TERMS floats; column i = 0 holds the 1{x=0} term.  Rows
-    past I hold only terms below the tail bound of _last_index: no terms are
+    BLOCK_TERMS floats; column i = 0 holds the 1{x=0} term.  Rows past I
+    hold only terms below the tail bound of _last_index: no terms are
     built for them and they come back as exact zeros.
     """
     theta = params.theta
@@ -150,7 +150,7 @@ def _line_count_entries(
     sums = np.zeros(len(rows))
     log_peaks = np.full(len(rows), -math.inf)
     xs = np.arange(rows.start, min(rows.stop, top + 1))
-    chunk = max(1, SERIES_BLOCK_TERMS // (top + 1))
+    chunk = max(1, BLOCK_TERMS // (top + 1))
     for lo in range(0, len(xs), chunk):
         x = xs[lo : lo + chunk, None]
         gap = i - x

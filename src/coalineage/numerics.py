@@ -12,11 +12,11 @@ naming the first failing entry.  exact_count_sums is the one
 inclusion-exclusion path: every "exactly z of N events" law goes through
 it, one row or a stack of levels at a time, in blocks of at most
 BLOCK_TERMS floats, and moment_count_sums takes it over moments that are
-signed sums themselves (the closed singleton routes).  Every log k! is
-read from one table, log_factorials, kept for the process and grown on
-demand (log_binomial reads lgamma past its end rather than grow it); the
-lgamma(theta + k) tables are built per call, and a kernel that reads
-few entries of a long one evaluates only those.
+signed sums themselves (the closed singleton routes).  Every table of
+log k! is read from one, log_factorials, kept for the process and grown
+on demand; log_binomial, which needs three entries, evaluates them with
+lgamma instead.  The lgamma(theta + k) tables are built per call, and a
+kernel that reads few entries of a long one evaluates only those.
 """
 
 from __future__ import annotations
@@ -156,12 +156,9 @@ def log_binomial(n: int, k: int) -> float:
         raise ValueError(f"n must be >= 0, got {n}")
     if k < 0 or k > n:
         return -math.inf
-    # past the kept table, lgamma gives the table's own entries without growing it
-    table = _LOG_FACTORIALS[0] if _LOG_FACTORIALS else ()
-    log_n_fact, log_k_fact, log_gap_fact = (
-        float(table[j]) if j < len(table) else math.lgamma(1.0 + j) for j in (n, k, n - k)
-    )
-    return log_n_fact - log_k_fact - log_gap_fact
+    # the log_factorials entries, evaluated directly so that one call at
+    # large n does not grow the kept table to n + 1
+    return math.lgamma(1.0 + n) - math.lgamma(1.0 + k) - math.lgamma(1.0 + (n - k))
 
 
 def signed_log_sums(

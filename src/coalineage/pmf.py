@@ -102,7 +102,10 @@ class Pmf:
             lambda i: f"{context}: entry at {support_offset + i}",
             "use the simulation path for this parameter regime",
         )
-        return cls._mass_checked(values, support_offset, renormalize, context)
+        (law,) = cls._mass_checked(
+            (values,), (float(values.sum()),), support_offset, renormalize, context
+        )
+        return law
 
     @classmethod
     def from_signed_rows(
@@ -111,27 +114,19 @@ class Pmf:
         """from_signed_sums of each row of (rows x entries) stacks, gated in one pass.
 
         Every row is gated, mass-checked and renormalized as
-        from_signed_sums does it, with the same bits.  If any row fails,
-        the rows are assembled one at a time instead, so the first failing
+        from_signed_sums does it, with the same bits, and the first failing
         row raises its own refusal.
         """
         try:
-            # a refusal here is raised again below, by its row and with its message
             values = reliable_values(sums, log_peaks, str, "")
         except NumericalConditioningError:
-            values = None
-        if values is not None:
-            totals = values.sum(axis=1)
-            defects = np.abs(1.0 - totals)
-            if np.all(defects <= MASS_TOLERANCE):
-                return [
-                    cls(support_offset, row, float(defect), renormalized=bool(defect > 1e-15))
-                    for row, defect in zip(values / totals[:, None], defects)
-                ]
-        return [
-            cls.from_signed_sums(row, peaks, support_offset, context=context)
-            for row, peaks in zip(sums, log_peaks)
-        ]
+            # a row before the one the gate refused may fail its mass check
+            # first: one row at a time, the first failing row is named
+            return [
+                cls.from_signed_sums(row, peaks, support_offset, context=context)
+                for row, peaks in zip(sums, log_peaks)
+            ]
+        return cls._mass_checked(values, values.sum(axis=1).tolist(), support_offset, True, context)
 
     @classmethod
     def from_floats(
@@ -149,7 +144,10 @@ class Pmf:
                 f"{context}: negative probability beyond the clipping floor"
             )
         values[neg] = 0.0
-        return cls._mass_checked(values, support_offset, renormalize, context)
+        (law,) = cls._mass_checked(
+            (values,), (float(values.sum()),), support_offset, renormalize, context
+        )
+        return law
 
     @classmethod
     def from_mixture(cls, weights, component, support_offset, size, context) -> "Pmf":
@@ -166,14 +164,19 @@ class Pmf:
         return cls.from_floats(probs, support_offset, context=context)
 
     @classmethod
-    def _mass_checked(cls, values, support_offset, renormalize, context) -> "Pmf":
-        total = float(values.sum())
-        defect = abs(1.0 - total)
-        if not defect <= MASS_TOLERANCE:  # a nan defect is refused too
-            raise NumericalConditioningError(
-                f"{context}: mass defect {defect:.3e} exceeds {MASS_TOLERANCE:.0e}"
-            )
-        if renormalize and total > 0.0:
-            values = values / total
-            return cls(support_offset, values, defect, renormalized=defect > 1e-15)
-        return cls(support_offset, values, defect, renormalized=False)
+    def _mass_checked(cls, rows, totals, support_offset, renormalize, context) -> list["Pmf"]:
+        """One Pmf per row, given each row's total mass, or a refusal naming the
+        first row whose mass is off by more than MASS_TOLERANCE."""
+        laws = []
+        for row, total in zip(rows, totals):
+            defect = abs(1.0 - total)
+            if not defect <= MASS_TOLERANCE:  # a nan defect is refused too
+                raise NumericalConditioningError(
+                    f"{context}: mass defect {defect:.3e} exceeds {MASS_TOLERANCE:.0e}"
+                )
+            # a defect within tolerance leaves the total positive
+            if renormalize:
+                laws.append(cls(support_offset, row / total, defect, renormalized=defect > 1e-15))
+            else:
+                laws.append(cls(support_offset, row, defect, renormalized=False))
+        return laws

@@ -35,6 +35,7 @@ from .ancestral import (
 )
 from .errors import NumericalConditioningError
 from .numerics import (
+    BLOCK_TERMS,
     _require_theta,
     exact_count_sums,
     log_binomial,
@@ -139,11 +140,18 @@ def _log_escape(totals: np.ndarray, m_prime: int, y: int, weight: int) -> np.nda
     """log (b - k weight)_m' / (b)_m', k = 0..y, one row per urn total b in totals:
     the chance that k given lines, each of urn weight `weight` in a total b, escape
     m' draws, taken as the running sum of math.log(u / (u + m')) over
-    u = b - 1 down to b - k weight."""
-    u = np.subtract.outer(totals, np.arange(1, y * weight + 1))
-    log_ratios = list(map(math.log, (u / (u + m_prime)).ravel().tolist()))
+    u = b - 1 down to b - k weight.  The rows are built in runs of at most
+    BLOCK_TERMS steps (one row if it is longer)."""
+    steps = np.arange(1, y * weight + 1)
     log_escape = np.zeros((len(totals), y + 1))
-    log_escape[:, 1:] = np.cumsum(np.reshape(log_ratios, u.shape), axis=1)[:, weight - 1 :: weight]
+    run = max(1, BLOCK_TERMS // max(1, len(steps)))
+    for a in range(0, len(totals), run):
+        u = np.subtract.outer(totals[a : a + run], steps)
+        ratios = (u / (u + m_prime)).ravel()
+        log_ratios = np.fromiter(map(math.log, ratios.tolist()), float, ratios.size)
+        log_escape[a : a + run, 1:] = np.cumsum(log_ratios.reshape(u.shape), axis=1)[
+            :, weight - 1 :: weight
+        ]
     return log_escape
 
 

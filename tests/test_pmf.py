@@ -47,6 +47,9 @@ def _pmfs_or_refusal(build):
         ([[0.5, 0.5], [0.5, 0.25], [0.5, 0.5]], [[0.0, 0.0], [0.0, 0.0], [40.0, 0.0]]),
         # row 1 is negative beyond the floor before row 2 fails its mass check
         ([[1.0, 0.0], [1.0, -1e-6], [0.3, 0.3]], [[0.0, 0.0], [0.0, 0.0], [0.0, 0.0]]),
+        # an empty row, then a nan row, each refused by its mass check before the next
+        ([[0.5, 0.5], [0.0, 0.0], [0.5, 0.25]], [[0.0, 0.0], [-math.inf] * 2, [0.0, 0.0]]),
+        ([[0.5, 0.5], [math.nan, 1.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0], [-math.inf] * 2]),
     ],
 )
 def test_from_signed_rows_is_from_signed_sums_per_row(sums, log_peaks):

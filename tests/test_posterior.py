@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -530,13 +531,32 @@ class TestHitTable:
         for args, probs in COND_R_FREQ_FROZEN.items():
             assert cond_r_freq_pmf(*args).probs.tolist() == probs, args
 
-    def test_escape_table_matches_the_one_total_loop(self):
-        # the closed route's escape block is one _log_escape call over every n
+    @pytest.mark.parametrize("block_terms", [1, 100, 1000, numerics.BLOCK_TERMS])
+    def test_escape_table_matches_the_one_total_loop(self, monkeypatch, block_terms):
+        # the closed route's escape block is one _log_escape call over every n,
+        # whatever runs of rows it is built in
+        monkeypatch.setattr(posterior, "BLOCK_TERMS", block_terms)
         for m, m_prime, y, theta in ((8, 4, 3, 9.5), (25, 200, 20, 0.5), (146, 50, 6, 20.0)):
             totals = theta + np.arange(y, m + m_prime + 1) + m
             table = posterior._log_escape(totals, m_prime, y, 2)
             for row, b in zip(table, totals.tolist()):
                 assert row.tobytes() == log_escape_by_step(b, m_prime, y, 2).tobytes()
+
+    def test_escape_build_holds_one_block_at_a_time(self):
+        # 1,000 levels of 200 steps, three BLOCK_TERMS of steps: beyond its
+        # own result the build holds one run's arrays and list, about 8
+        # floats a step of the run, where building every level at once
+        # holds several times that
+        levels, y = 1000, 100
+        totals = 9.5 + 146 + y + np.arange(levels, dtype=float)
+        tracemalloc.start()
+        try:
+            table = posterior._log_escape(totals, 200, y, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert levels * 2 * y > 3 * numerics.BLOCK_TERMS
+        assert peak - table.nbytes < 12 * 8 * numerics.BLOCK_TERMS
 
     def test_closed_route_and_discovery_keep_their_values(self):
         for (m, m_prime, y, theta, t), probs in CLOSED_SINGLETON_FROZEN.items():
