@@ -23,6 +23,7 @@ import numpy as np
 
 from .errors import NumericalConditioningError
 from .numerics import (
+    BLOCK_TERMS,
     SignedLogValue,
     _require_theta,
     exact_count_sums,
@@ -52,9 +53,6 @@ TAIL_ENTRY = 1e-14
 MAX_ANCESTRAL_N = 5000
 # line-count series terms past _last_index lie below exp(-TAIL_LOG)
 TAIL_LOG = 80.0
-# floats per (x, i) block of the line-count series; longer series are
-# summed in row chunks, so transient memory stays bounded
-BLOCK_TERMS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -208,15 +206,17 @@ def _ancestral_values(params: ModelParams, n_max: int | None) -> np.ndarray:
         ).tolist()
 
     if n_max is None:
-        values = entries(0, _default_n_start(params.theta) + 1)
         # rows past top are exact zeros, so this closes by n = top + 1
+        values = entries(0, min(_default_n_start(params.theta), top) + 1)
         while not _tail_closed(values):
             values.extend(entries(len(values), math.ceil(len(values) * 1.5)))
     else:
         if n_max < 0:
             raise ValueError(f"n_max must be nonnegative, got {n_max}")
         values = entries(0, n_max + 1)
-    return np.array(values)
+    values = np.array(values)
+    values.flags.writeable = False  # the cached array is shared by every caller
+    return values
 
 
 def ancestral_pmf(n_max: int | None, params: ModelParams) -> Pmf:
@@ -286,6 +286,7 @@ def lineage_pmf(m: int, params: ModelParams) -> Pmf:
     if params.t == 0.0:
         probs = np.zeros(m + 1)
         probs[m] = 1.0
+        probs.flags.writeable = False
         return Pmf(0, probs, 0.0)
     try:
         return Pmf.from_signed_sums(
@@ -311,6 +312,8 @@ def tmrca_cdf(m: int, r: int, params: ModelParams) -> float:
     As a function of t this is the distribution function of the time at
     which the sample's line count first drops to r.
     """
+    if m < 0:
+        raise ValueError(f"m must be nonnegative, got {m}")
     if r < 0:
         raise ValueError(f"r must be nonnegative, got {r}")
     if r >= m:
@@ -319,7 +322,6 @@ def tmrca_cdf(m: int, r: int, params: ModelParams) -> float:
     return float(pmf.probs[: r + 1].sum())
 
 
-@lru_cache(maxsize=256)
 def r_pmf(n: int, m: int, theta: float) -> Pmf:
     """Distinct old types re-observed: n seed types, m draws.
 
@@ -386,7 +388,6 @@ def _freq_tables(l: int, n_hi: int, m: int, theta: float) -> tuple[np.ndarray, n
     )
 
 
-@lru_cache(maxsize=256)
 def r_freq_pmf(l: int, n: int, m: int, theta: float) -> Pmf:
     """Old types observed exactly l times: n seed types, m draws.
 
@@ -442,11 +443,9 @@ def _singleton_closed_entries(
         sums[:, j], log_peaks[:, j] = signed_log_sums(
             log_terms + extra_log[:, n], np.where((i + n) % 2 == 0, 1.0, -1.0)
         )
-    entries = np.array([moment_count_sums(*row, lo) for row in zip(sums, log_peaks)])
-    return entries[:, 0], entries[:, 1]
+    return moment_count_sums(sums, log_peaks, lo)
 
 
-@lru_cache(maxsize=64)
 def singleton_lineage_pmf(m: int, params: ModelParams, method: str = "mixture") -> Pmf:
     """Law of the number of ancestral lines with exactly one sample descendant.
 

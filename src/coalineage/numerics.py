@@ -258,9 +258,10 @@ def moment_count_sums(
     A moment that rounds to zero or below counts as zero.  Entry z's log
     peak is the largest log C(k,z) plus moment k's own log peak (a second
     call, over the peaks), so reliable_values reads it as one fused sum;
-    its sum is rescaled to match, and an entry with no terms stays 0.
+    its sum is rescaled to match, and an entry with no terms stays 0.  A
+    stack of moment rows gives a stack of entry rows, as in exact_count_sums.
     """
-    log_moments = np.log(sums, out=np.full(len(sums), -math.inf), where=sums > 0) + log_peaks
+    log_moments = np.log(sums, out=np.full(sums.shape, -math.inf), where=sums > 0) + log_peaks
     sums, peaks = exact_count_sums(log_moments, lo)
     entry_peaks = exact_count_sums(log_peaks, lo)[1]
     return sums * np.exp(peaks - np.where(peaks > -math.inf, entry_peaks, 0.0)), entry_peaks

@@ -175,8 +175,7 @@ class Pmf:
                     f"{context}: mass defect {defect:.3e} exceeds {MASS_TOLERANCE:.0e}"
                 )
             # a defect within tolerance leaves the total positive
-            if renormalize:
-                laws.append(cls(support_offset, row / total, defect, renormalized=defect > 1e-15))
-            else:
-                laws.append(cls(support_offset, row, defect, renormalized=False))
+            probs = row / total if renormalize else row
+            probs.flags.writeable = False  # a memoized law is shared by its callers
+            laws.append(cls(support_offset, probs, defect, renormalize and defect > 1e-15))
         return laws

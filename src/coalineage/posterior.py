@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import partial
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -44,9 +44,6 @@ from .numerics import (
     reliable_values,
 )
 from .pmf import Pmf
-
-# uncached, so that a curve's rows do not evict n_posterior's likelihoods
-_r_pmf_uncached = r_pmf.__wrapped__
 
 __all__ = [
     "MARGINAL_FLOOR",
@@ -133,7 +130,7 @@ def cond_r_pmf(n: int, m: int, m_prime: int, y: int, theta: float) -> Pmf:
     theta + m + y) shifted up by y, with support y..min(n, y + m').
     """
     _validate_conditional_args(n, m, m_prime, y, theta, y_cap=min(n, m))
-    return replace(_r_pmf_uncached(n - y, m_prime, theta + m + y), support_offset=y)
+    return replace(r_pmf(n - y, m_prime, theta + m + y), support_offset=y)
 
 
 def _log_escape(totals: np.ndarray, m_prime: int, y: int, weight: int) -> np.ndarray:
@@ -187,12 +184,15 @@ def cond_r_freq_pmf(l: int, n: int, m: int, m_prime: int, y: int, theta: float) 
     return law
 
 
+@lru_cache(maxsize=128)
 def n_posterior(m: int, y: int, params: ModelParams, mode: str = "total") -> Pmf:
     """Posterior over the population's surviving line count n.
 
     Reweights the population line-count law by the likelihood of the
     observed statistic under each n: the re-observed type count for mode
-    "total", the frequency-1 type count for mode "singleton".
+    "total", the frequency-1 type count for mode "singleton".  Memoized, as
+    every predictive law and discovery probability of one observation
+    conditions on it; package callers pass mode by keyword, so they share entries.
     """
     if mode not in ("total", "singleton"):
         raise ValueError(f"mode must be 'total' or 'singleton', got {mode!r}")

@@ -1,4 +1,6 @@
 import math
+import time
+import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -150,6 +152,23 @@ class TestAncestralPmf:
         with pytest.raises(ValueError, match="infinity"):
             ancestral_pmf(None, ModelParams(1.0, 0.0))
 
+    @pytest.mark.parametrize("theta", [1e7, 1e12, 1e300])
+    def test_large_theta_builds_no_rows_past_the_series(self, theta):
+        # every row past _last_index is an exact zero, so the adaptive
+        # start must not build ceil(theta) of them
+        params = ModelParams(theta, 0.34)
+        tracemalloc.start()
+        start = time.perf_counter()
+        try:
+            pmf = ancestral_pmf(None, params)
+            elapsed = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(pmf.probs) <= 2 * (_last_index(params) + 1)
+        assert pmf.probs[0] == 1.0 and pmf.mass_defect == 0.0
+        assert elapsed < 0.5 and peak < 2**20
+
 
 class TestLineagePmf:
     def test_frozen_singh_values(self):
@@ -190,6 +209,23 @@ class TestLineagePmf:
         assert all(a > b for a, b in zip(means, means[1:]))
 
 
+@pytest.mark.parametrize(
+    "law",
+    [
+        lambda: lineage_pmf(5, ModelParams(1.0, 0.5)).probs,
+        lambda: lineage_pmf(5, ModelParams(1.0, 0.0)).probs,
+        lambda: _ancestral_values(ModelParams(1.0, 0.5), None),
+        lambda: posterior.n_posterior(5, 2, ModelParams(1.0, 0.5), mode="total").probs,
+    ],
+    ids=["lineage", "point-mass", "population", "posterior"],
+)
+def test_memoized_laws_are_read_only(law):
+    kept = law().tobytes()
+    with pytest.raises(ValueError):
+        law()[:] = 0.0
+    assert law().tobytes() == kept
+
+
 class TestTmrcaCdf:
     def test_matches_pmf_tail(self):
         params = ModelParams(9.5, 0.34)
@@ -209,6 +245,8 @@ class TestTmrcaCdf:
         assert tmrca_cdf(5, 7, ModelParams(1.0, 0.1)) == 1.0
         with pytest.raises(ValueError):
             tmrca_cdf(5, -1, ModelParams(1.0, 0.1))
+        with pytest.raises(ValueError, match="m must be"):
+            tmrca_cdf(-3, 5, ModelParams(1.0, 0.1))
 
 
 class TestSeedTypeLaws:
@@ -313,7 +351,7 @@ class TestSingletonLineagePmf:
             params = ModelParams(theta, t)
             reference = np.array([float(p) for p in singleton_law_mpmath(m, theta, t)])
             for method in ("mixture", "closed"):
-                law = singleton_lineage_pmf.__wrapped__(m, params, method)
+                law = singleton_lineage_pmf(m, params, method)
                 assert np.max(np.abs(law.probs - reference)) <= 1e-9, (m, theta, t, method)
 
 
@@ -434,8 +472,7 @@ class TestBlockKernels:
         # the kernels pad with -inf and exponentiate refused peaks; none of
         # that may surface as a numpy RuntimeWarning.  The closed routes
         # run where they are affordable, m <= 20.
-        for cached in (lineage_pmf, singleton_lineage_pmf, _ancestral_values,
-                       ancestral.r_pmf, ancestral.r_freq_pmf):
+        for cached in (lineage_pmf, _ancestral_values, posterior.n_posterior):
             cached.cache_clear()
         numerics._PASCAL.clear()
         numerics._LOG_FACTORIALS.clear()

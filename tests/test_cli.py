@@ -279,6 +279,14 @@ class TestPredict:
         assert code == 3
         assert "negligible" in err
 
+    def test_huge_theta_exits_cleanly(self, capsys):
+        # the population law's start must not allocate ceil(theta) rows
+        code, out, err = run_cli(
+            capsys, "predict", "--m", "146", "--m-prime", "1", "--y", "2",
+            "--theta", "1e12", "--t", "0.34",
+        )
+        assert code in (0, 2, 3), err
+
     def test_closed_singleton_past_int64_binomials_exit_3(self, capsys):
         code, out, err = run_cli(
             capsys, "predict", "--m", "80", "--m-prime", "1", "--y", "70",

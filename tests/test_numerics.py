@@ -143,8 +143,8 @@ class TestLogFactorialTable:
 
     def test_laws_do_not_depend_on_table_size(self, monkeypatch):
         laws = (
-            lambda: r_pmf.__wrapped__(300, 1000, 9.5),
-            lambda: r_freq_pmf.__wrapped__(1, 40, 1000, 9.5),
+            lambda: r_pmf(300, 1000, 9.5),
+            lambda: r_freq_pmf(1, 40, 1000, 9.5),
             lambda: lineage_pmf.__wrapped__(1000, ModelParams(9.5, 0.34)),
         )
 
@@ -324,9 +324,9 @@ class TestExactCountSums:
     def test_kept_pascal_block_is_bounded(self):
         # a block larger than PASCAL_KEEP a side serves its own call only
         numerics._PASCAL.clear()
-        r_freq_pmf.__wrapped__(1, 40, 146, 9.5)
+        r_freq_pmf(1, 40, 146, 9.5)
         with pytest.raises(NumericalConditioningError):
-            r_freq_pmf.__wrapped__(1, 1000, 1000, 0.5)
+            r_freq_pmf(1, 1000, 1000, 0.5)
         (block,) = numerics._PASCAL
         assert len(block[0]) == 41
         assert sum(part.nbytes for part in block) < 2**20

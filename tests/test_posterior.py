@@ -1,6 +1,7 @@
 import itertools
 import math
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from coalineage.ancestral import (
     ModelParams,
+    _ancestral_values,
     ancestral_pmf,
     lineage_pmf,
     singleton_lineage_pmf,
@@ -312,6 +314,29 @@ class TestNPosterior:
         # six distinct surviving lines
         with pytest.raises(NumericalConditioningError):
             n_posterior(6, 6, ModelParams(1.0, 5.0))
+
+    def test_built_once_per_observation(self, monkeypatch):
+        # every point of a discovery curve conditions on the same posterior:
+        # one likelihood call per population level, whatever m' is asked
+        m, params = 30, ModelParams(2.5, 0.4)
+        levels = len(np.flatnonzero(_ancestral_values(params, None)))
+        calls = Counter()
+        for name in ("r_pmf", "r_freq_pmf"):
+            def counted(*args, name=name, law=getattr(posterior, name)):
+                # the likelihood passes theta itself; predictive rows shift it
+                calls[name] += args[-1] == params.theta
+                return law(*args)
+
+            monkeypatch.setattr(posterior, name, counted)
+        n_posterior.cache_clear()
+        # the sample's modal line count, and one singleton line
+        y_total, y_single = 3, 1
+        for m_prime in range(1, 6):
+            predictive_lineage_pmf(PredictiveQuery(m, m_prime, y_total, params))
+            predictive_singleton_pmf(PredictiveQuery(m, m_prime, y_single, params))
+        gt_new_lineage_prob(m, y_total, params)
+        gt_singleton_prob(m, y_single, params)
+        assert calls == {"r_pmf": levels, "r_freq_pmf": levels}
 
     def test_domain_checks(self):
         with pytest.raises(ValueError):
