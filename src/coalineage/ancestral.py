@@ -8,8 +8,10 @@ projection of that law.  Both are the same alternating line-of-descent
 series with different weights on the index i (Griffiths 1980; Tavare
 1984): C(m,i)/(theta+m)_i for the sample, its m -> infinity limit 1/i!
 for the population.  One kernel sums both, and entries are refused when
-cancellation eats the result.  The singleton law's closed route sums each
-of its binomial moments as one such series, then takes inclusion-exclusion.
+cancellation eats the result.  The singleton law's mixture route sums the
+frequency-1 urn law of every population level as one stack; its closed
+route sums each binomial moment as one such series, then takes
+inclusion-exclusion.
 """
 
 from __future__ import annotations
@@ -51,6 +53,7 @@ __all__ = [
 TAIL_MASS = 1e-10
 TAIL_ENTRY = 1e-14
 MAX_ANCESTRAL_N = 5000
+MAX_TRUNCATION = 10**7  # largest explicit n_max of ancestral_pmf
 # line-count series terms past _last_index lie below exp(-TAIL_LOG)
 TAIL_LOG = 80.0
 
@@ -163,10 +166,6 @@ def _line_count_entries(
     return sums, log_peaks
 
 
-def _default_n_start(theta: float) -> int:
-    return math.ceil(theta + 2) + 10
-
-
 def _tail_closed(values: list[float]) -> bool:
     """True when the entries past the mode bound the remaining mass.
 
@@ -205,16 +204,17 @@ def _ancestral_values(params: ModelParams, n_max: int | None) -> np.ndarray:
             "t is too small for the series",
         ).tolist()
 
+    # rows past top are exact zeros: none is summed, and the adaptive law closes by n = top + 1
     if n_max is None:
-        # rows past top are exact zeros, so this closes by n = top + 1
-        values = entries(0, min(_default_n_start(params.theta), top) + 1)
+        values = entries(0, min(math.ceil(params.theta + 2) + 10, top) + 1)
         while not _tail_closed(values):
             values.extend(entries(len(values), math.ceil(len(values) * 1.5)))
+        values = np.array(values)
     else:
-        if n_max < 0:
-            raise ValueError(f"n_max must be nonnegative, got {n_max}")
-        values = entries(0, n_max + 1)
-    values = np.array(values)
+        if not 0 <= n_max <= MAX_TRUNCATION:
+            raise ValueError(f"n_max must be in [0, {MAX_TRUNCATION}], got {n_max}")
+        values = np.zeros(n_max + 1)
+        values[: min(n_max, top) + 1] = entries(0, min(n_max, top) + 1)
     values.flags.writeable = False  # the cached array is shared by every caller
     return values
 
@@ -226,7 +226,9 @@ def ancestral_pmf(n_max: int | None, params: ModelParams) -> Pmf:
         n_max: truncation level.  None grows the support until the
             entries decay past 1e-14 with a geometric tail bound below
             1e-10; an explicit value must cover all but 1e-6 of the mass
-            or the call fails.
+            or the call fails, and may be at most MAX_TRUNCATION (10**7
+            entries, 80 MB): past the series' last index, at most
+            MAX_ANCESTRAL_N, every entry is an exact zero.
         params: theta and t, with t > 0 (at t=0 the count is infinite).
 
     Returns:
@@ -347,60 +349,50 @@ def r_pmf(n: int, m: int, theta: float) -> Pmf:
     )
 
 
-def _freq_row_pmf(
-    l: int, n: int, m: int, log_fact: np.ndarray, log_gamma: np.ndarray
-) -> Pmf:
-    """r_freq_pmf(l, n, m, theta) from tables log_fact[k] = log k! and
-    log_gamma[k] = lgamma(theta + k), as _freq_tables(l, n_hi, m, theta)
-    builds them for any n_hi >= n; it reads only entries they evaluate.
+def _freq_rows(l: int, levels: np.ndarray, m: int, theta: float) -> list[Pmf]:
+    """r_freq_pmf(l, n, m, theta) for every n of the increasing array levels.
 
     Entry x is the chance that exactly x of the n seed types are drawn l
     times: exact_count_sums over the binomial moments, C(n,i) times the
-    chance that i given types are, for i = 0..min(n, m // l).
+    chance that i given types are, for i = 0..min(n, m // l).  The levels'
+    moments form one -inf-padded stack, summed in one call and gated row
+    by row: each law is padded with exact zeros, and the first failing
+    level raises its own refusal.  lgamma(theta + k) is evaluated only on
+    the two ranges that some level reads: k <= top, and k from
+    m - l min(top, m // l) to top + m.
     """
-    hi = min(n, m // l)
-    i = np.arange(hi + 1)
+    top = int(levels[-1])
+    i = np.arange(min(top, m // l) + 1)
+    log_fact = log_factorials(max(top, m) + 1)
+    log_gamma = log_gamma_table(theta, top + m + 1, np.r_[: top + 1, m - l * i[-1] : top + m + 1])
+    n = levels[:, None]
+    j = np.minimum(i, n)  # past row n's last moment the index repeats it, masked below
     # m! C(n,i) (theta+n-i)_(m-il) / ((m-il)! (theta+n)_m)
-    log_moments = (
+    log_moments = np.where(
+        i <= n,
         log_fact[m]
-        + log_fact[n] - log_fact[i] - log_fact[n - i]
-        + log_gamma[n - i + m - i * l] - log_gamma[n - i]
-        - log_fact[m - i * l]
-        - (log_gamma[n + m] - log_gamma[n])
+        + log_fact[n] - log_fact[j] - log_fact[n - j]
+        + log_gamma[n - j + m - j * l] - log_gamma[n - j]
+        - log_fact[m - j * l]
+        - (log_gamma[n + m] - log_gamma[n]),
+        -math.inf,
     )
-    return Pmf.from_signed_sums(
-        *exact_count_sums(log_moments, 0), 0, context="frequency-level type count"
-    )
-
-
-def _freq_tables(l: int, n_hi: int, m: int, theta: float) -> tuple[np.ndarray, np.ndarray]:
-    """The log_fact and log_gamma tables of _freq_row_pmf for every row n <= n_hi.
-
-    log k! comes from log_factorials.  Row n reads lgamma(theta + k) at
-    k <= n and k = n + m - i(1+l), for i <= min(n, m // l); the table
-    evaluates two index ranges that cover them: k <= n_hi, and k from
-    m - l min(n_hi, m // l) up to n_hi + m.
-    """
-    far = m - l * min(n_hi, m // l)
-    return (
-        log_factorials(max(n_hi, m) + 1),
-        log_gamma_table(theta, n_hi + m + 1, np.r_[: n_hi + 1, far : n_hi + m + 1]),
-    )
+    return Pmf.from_signed_rows(*exact_count_sums(log_moments, 0), 0, "frequency-level type count")
 
 
 def r_freq_pmf(l: int, n: int, m: int, theta: float) -> Pmf:
     """Old types observed exactly l times: n seed types, m draws.
 
     Alternating sum over how many of the n types are forced to frequency
-    l; all entries run through one signed_log_sums call and the usual
-    gates.
+    l, through the usual gates: the one-level view of _freq_rows.
     """
     if l < 1:
         raise ValueError(f"l must be >= 1, got {l}")
     if n < 0 or m < 0:
         raise ValueError("n and m must be nonnegative")
     _require_theta(theta)
-    return _freq_row_pmf(l, n, m, *_freq_tables(l, n, m, theta))
+    (law,) = _freq_rows(l, np.array([n]), m, theta)
+    return law
 
 
 def _singleton_closed_entries(
@@ -452,7 +444,9 @@ def singleton_lineage_pmf(m: int, params: ModelParams, method: str = "mixture") 
     The default mixes the frequency-level law over the population's
     surviving line count: conditional on n lines surviving, the m sample
     units fall into the urn with n seed types, and a line is a singleton
-    ancestor when its type is drawn exactly once.  method="closed"
+    ancestor when its type is drawn exactly once.  The frequency-1 laws of
+    every level that carries weight are built as one table (_freq_rows)
+    and mixed in one weighted column sum.  method="closed"
     evaluates the direct alternating representation instead, an
     independent cross-check route that reads nothing from the mixture:
     binomial moments, then inclusion-exclusion.
@@ -466,8 +460,9 @@ def singleton_lineage_pmf(m: int, params: ModelParams, method: str = "mixture") 
         sums, log_peaks = _singleton_closed_entries(m, 0, params, m, np.zeros((1, m + 1)))
         return Pmf.from_signed_sums(sums[0], log_peaks[0], 0, context="singleton ancestor count")
     weights = _ancestral_values(params, None)
-    # one table pair serves every row n
-    tables = _freq_tables(1, len(weights) - 1, m, params.theta)
-    return Pmf.from_mixture(
-        weights, lambda n: _freq_row_pmf(1, n, m, *tables), 0, m + 1, "singleton ancestor count"
-    )
+    levels = np.flatnonzero(weights)
+    table = np.array([law.probs for law in _freq_rows(1, levels, m, params.theta)])
+    probs = np.zeros(m + 1)
+    # summed level by level in increasing n, with no BLAS call and its buffers
+    probs[: table.shape[1]] = (weights[levels, None] * table).sum(axis=0)
+    return Pmf.from_floats(probs, 0, context="singleton ancestor count")

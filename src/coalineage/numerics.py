@@ -10,8 +10,8 @@ turns those arrays into numbers only where the surviving digits are more
 than rounding noise; otherwise callers see a NumericalConditioningError
 naming the first failing entry.  exact_count_sums is the one
 inclusion-exclusion path: every "exactly z of N events" law goes through
-it, one row or a stack of levels at a time, in blocks of at most
-BLOCK_TERMS floats, and moment_count_sums takes it over moments that are
+it, one row or a stack of levels at a time, in 32 KB blocks built and
+shifted in place, and moment_count_sums takes it over moments that are
 signed sums themselves (the closed singleton routes).  Every table of
 log k! is read from one, log_factorials, kept for the process and grown
 on demand; log_binomial, which needs three entries, evaluates them with
@@ -182,7 +182,10 @@ def signed_log_sums(
     log_terms = np.asarray(log_terms, dtype=float)
     log_peaks = log_terms.max(axis=-1, initial=-math.inf)
     shift = np.where(log_peaks > -math.inf, log_peaks, 0.0)
-    scaled = np.asarray(signs, dtype=float) * np.exp(log_terms - shift[..., None])
+    # one block-sized array: shifted, exponentiated and signed in place
+    scaled = np.subtract(log_terms, shift[..., None])
+    np.exp(scaled, out=scaled)
+    scaled *= signs
     # row by row, so no Python list of the whole block is built
     rows = scaled.reshape(log_peaks.size, scaled.shape[-1])
     sums = np.fromiter(map(math.fsum, map(np.ndarray.tolist, rows)), float, log_peaks.size)
@@ -194,9 +197,9 @@ def signed_log_sums(
 # its top-left corner, and a larger one serves its own call only
 _PASCAL: list = []
 PASCAL_KEEP = 256
-# floats in one signed_log_sums block of exact_count_sums (512 KB); a
-# row longer than this is a block of its own
-BLOCK_TERMS = 1 << 16
+# floats in one signed_log_sums block of exact_count_sums (32 KB, so a stack's
+# transients stay near one level's); a row longer than this is a block of its own
+BLOCK_TERMS = 1 << 12
 
 
 def exact_count_sums(log_moments: np.ndarray, lo: int) -> tuple[np.ndarray, np.ndarray]:
@@ -232,22 +235,19 @@ def exact_count_sums(log_moments: np.ndarray, lo: int) -> tuple[np.ndarray, np.n
     lead, width = log_moments.shape[:-1], top - lo
     # (levels, z, k) terms; a single row has no levels axis
     weighted = (log_moments[..., k] + log_fact)[..., None, :]
-    if len(weighted) * width * width <= BLOCK_TERMS:
-        return signed_log_sums(weighted - log_fact[:, None] - gap_log_fact, signs)
     # a block is whole levels, or rows z of one level: a run of entries in row order
-    z_step = min(width, BLOCK_TERMS // width) or 1
-    level_step = BLOCK_TERMS // (z_step * width) or 1
-    blocks = [
-        signed_log_sums(
-            weighted[a : a + level_step] - log_fact[z, None] - gap_log_fact[z], signs[z]
-        )
-        for a in range(0, len(weighted), level_step)
-        for z in [slice(c, c + z_step) for c in range(0, width, z_step)]
-    ]
-    return tuple(
-        np.concatenate([np.ravel(part[i]) for part in blocks]).reshape(*lead, width)
-        for i in (0, 1)
-    )
+    span = max(width, 1)  # lo = N + 1 leaves no entries
+    z_step = min(span, BLOCK_TERMS // span) or 1
+    level_step = BLOCK_TERMS // (z_step * span) or 1
+    # each block's results go straight to their place; a single row is one level
+    sums, log_peaks = np.empty((2, math.prod(lead), width))
+    for a in range(0, len(weighted), level_step):
+        for z in [slice(c, c + z_step) for c in range(0, width, z_step)]:
+            log_terms = weighted[a : a + level_step] - log_fact[z, None]
+            log_terms -= gap_log_fact[z]  # in place: a block is one array until it is shifted
+            block = signed_log_sums(log_terms, signs[z])
+            sums[a : a + level_step, z], log_peaks[a : a + level_step, z] = block
+    return sums.reshape(*lead, width), log_peaks.reshape(*lead, width)
 
 
 def moment_count_sums(

@@ -20,17 +20,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import lru_cache, partial
+from functools import lru_cache
 
 import numpy as np
 
 from .ancestral import (
     ModelParams,
     _ancestral_values,
+    _freq_rows,
     _require_method,
     _singleton_closed_entries,
     lineage_pmf,
-    r_freq_pmf,
     r_pmf,
 )
 from .errors import NumericalConditioningError
@@ -197,17 +197,17 @@ def n_posterior(m: int, y: int, params: ModelParams, mode: str = "total") -> Pmf
     if mode not in ("total", "singleton"):
         raise ValueError(f"mode must be 'total' or 'singleton', got {mode!r}")
     _require_observed(m, y)
-    likelihood = r_pmf if mode == "total" else partial(r_freq_pmf, 1)
     values = _ancestral_values(params, None)
+    levels = np.flatnonzero(values)
+    if mode == "total":
+        likelihood = [r_pmf(n, m, params.theta).prob(y) for n in levels.tolist()]
+    else:  # column y of the singleton law's frequency-1 table
+        likelihood = [law.prob(y) for law in _freq_rows(1, levels, m, params.theta)]
     weights = np.zeros(len(values))
-    for n in np.flatnonzero(values).tolist():
-        weights[n] = values[n] * likelihood(n, m, params.theta).prob(y)
-    marginal = _conditioning_mass(
-        float(weights.sum()), f"the observed statistic {y} at t = {params.t:g} has probability"
-    )
-    return Pmf.from_floats(
-        weights / marginal, support_offset=0, context="line count posterior"
-    )
+    weights[levels] = values[levels] * likelihood
+    event = f"the observed statistic {y} at t = {params.t:g} has probability"
+    marginal = _conditioning_mass(math.fsum(weights[levels]), event)
+    return Pmf.from_floats(weights / marginal, support_offset=0, context="line count posterior")
 
 
 def _point_mass(at: int) -> Pmf:

@@ -2,9 +2,10 @@
 
 Exact combinatorial counts, falling factorials and factorial moments give
 independent checks on the analytic laws.  The entry-by-entry enlarged
-type count is the reference for the shifted prior urn law, and the
+type count is the reference for the shifted prior urn law, the
 level-by-level hit laws for the singleton predictive's one-pass hit
-table.  The one-row signed sum, the per-entry gate, the row-by-row
+table, and the level-by-level frequency-1 laws for the singleton law's
+and the singleton posterior's one-pass table.  The one-row signed sum, the per-entry gate, the row-by-row
 line-count series and the entry-by-entry frequency-level urn law are the
 references for the production block kernels and array gates.  The block-process step, the
 event-by-event block process and the death-process sampler are the
@@ -23,7 +24,7 @@ from functools import lru_cache
 import numpy as np
 
 from coalineage import posterior
-from coalineage.ancestral import ModelParams, _last_index
+from coalineage.ancestral import ModelParams, _ancestral_values, _last_index, r_freq_pmf
 from coalineage.errors import NumericalConditioningError
 from coalineage.ewens import AllelicPartition
 from coalineage.numerics import (
@@ -327,6 +328,32 @@ def r_freq_pmf_by_entry(l: int, n: int, m: int, theta: float) -> Pmf:
         signs = np.where((i[x:] - x) % 2 == 0, 1.0, -1.0)
         entries.append(signed_log_sum(log_terms, signs))
     return pmf_by_entry(entries, "frequency-level type count")
+
+
+def singleton_lineage_by_level(m: int, params: ModelParams) -> Pmf:
+    """The mixture ancestral.singleton_lineage_pmf with each level's frequency-1
+    law built on its own by the one-level r_freq_pmf, added in increasing n."""
+    return Pmf.from_mixture(
+        _ancestral_values(params, None),
+        lambda n: r_freq_pmf(1, n, m, params.theta),
+        0,
+        m + 1,
+        "singleton ancestor count",
+    )
+
+
+def singleton_posterior_by_level(m: int, y: int, params: ModelParams) -> Pmf:
+    """posterior.n_posterior(m, y, params, mode="singleton") with each level's
+    likelihood read from its own one-level r_freq_pmf, in increasing n."""
+    posterior._require_observed(m, y)
+    values = _ancestral_values(params, None)
+    weights = np.zeros(len(values))
+    for n in np.flatnonzero(values).tolist():
+        weights[n] = values[n] * r_freq_pmf(1, n, m, params.theta).prob(y)
+    marginal = posterior._conditioning_mass(
+        math.fsum(weights), f"the observed statistic {y} at t = {params.t:g} has probability"
+    )
+    return Pmf.from_floats(weights / marginal, 0, context="line count posterior")
 
 
 def log_escape_by_step(b: float, m_prime: int, y: int, weight: int) -> np.ndarray:

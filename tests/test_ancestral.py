@@ -1,3 +1,4 @@
+import itertools
 import math
 import time
 import tracemalloc
@@ -13,6 +14,7 @@ from coalineage.ancestral import (
     ModelParams,
     _ancestral_values,
     _last_index,
+    _line_count_entries,
     _lineage_entries,
     ancestral_pmf,
     death_rate,
@@ -27,7 +29,12 @@ from coalineage.ancestral import (
 from coalineage.enumeration import enumerate_sequences, oracle_pmf_exact
 from coalineage.errors import NumericalConditioningError
 from coalineage.ewens import AlleleConfiguration, esf_log_prob
-from coalineage.numerics import SignedLogValue, log_gamma_table, reliable_values
+from coalineage.numerics import (
+    SignedLogValue,
+    log_factorials,
+    log_gamma_table,
+    reliable_values,
+)
 from coalineage.pmf import Pmf
 
 from reference import (
@@ -35,8 +42,38 @@ from reference import (
     lineage_entries_by_row,
     pmf_by_entry,
     r_freq_pmf_by_entry,
+    singleton_lineage_by_level,
+    singleton_posterior_by_level,
     values_by_entry,
 )
+
+def full_log_gamma_table(base, size, at=None):
+    """numerics.log_gamma_table with every entry evaluated, whatever at asks for."""
+    return log_gamma_table(base, size)
+
+
+SINGLETON_GRID_M = (1, 5, 20, 146, 1000)
+SINGLETON_GRID_THETA = (0.5, 1.0, 3.0, 9.5, 20.0)
+SINGLETON_GRID_T = (0.05, 0.08, 0.1, 0.15, 0.34, 1.0, 2.0)
+
+
+def assert_same_law(build, reference, where, tol=1e-15):
+    """The two laws agree within tol per entry on one support, or both refuse
+    with the same error type, message and cancellation ratio."""
+    outcomes = []
+    for compute in (build, reference):
+        try:
+            outcomes.append(compute())
+        except (NumericalConditioningError, ValueError) as err:
+            ratio = getattr(err, "cancellation_ratio", None)
+            outcomes.append((type(err).__name__, str(err), ratio))
+    got, want = outcomes
+    if isinstance(want, tuple) or isinstance(got, tuple):
+        assert got == want, where
+        return
+    assert got.support_offset == want.support_offset and len(got.probs) == len(want.probs), where
+    assert np.max(np.abs(got.probs - want.probs)) <= tol, where
+
 
 # Reference values below come from an independent high-precision
 # evaluation of the same series (40+ digits), frozen here as floats.
@@ -151,6 +188,31 @@ class TestAncestralPmf:
     def test_zero_time_rejected(self):
         with pytest.raises(ValueError, match="infinity"):
             ancestral_pmf(None, ModelParams(1.0, 0.0))
+
+    def test_explicit_truncation_sums_no_zero_rows(self):
+        # rows past _last_index are exact zeros: the law is the kernel's
+        # sum over every row, with those rows appended as zeros
+        params = ModelParams(9.5, 0.34)
+        top = _last_index(params)
+        assert top < 40
+        rows = _line_count_entries(-log_factorials(top + 1), range(41), params)
+        want = reliable_values(*rows, str, "")
+        law = ancestral_pmf(40, params)
+        assert law.probs.tobytes() == want.tobytes()
+        assert law.mass_defect == abs(1.0 - float(want.sum())) and not law.renormalized
+
+    def test_huge_truncation_is_refused_cheaply(self):
+        params = ModelParams(9.5, 0.34)
+        tracemalloc.start()
+        start = time.perf_counter()
+        try:
+            with pytest.raises(ValueError, match=f"in \\[0, {ancestral.MAX_TRUNCATION}\\]"):
+                ancestral_pmf(10**12, params)
+            elapsed = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert elapsed < 1.0 and peak < 2**20
 
     @pytest.mark.parametrize("theta", [1e7, 1e12, 1e300])
     def test_large_theta_builds_no_rows_past_the_series(self, theta):
@@ -286,7 +348,7 @@ class TestSeedTypeLaws:
 
     @pytest.mark.parametrize("l", [1, 2, 3])
     @pytest.mark.parametrize("m", [146, 1000])
-    def test_r_freq_matches_entry_by_entry_reference(self, l, m):
+    def test_r_freq_matches_entry_by_entry_reference(self, l, m, monkeypatch):
         for n in (0, 1, 7, 50):
             for theta in (0.5, 9.5, 20.0):
                 got = r_freq_pmf(l, n, m, theta).probs
@@ -294,8 +356,10 @@ class TestSeedTypeLaws:
                     got, r_freq_pmf_by_entry(l, n, m, theta).probs, rtol=1e-12, atol=0.0
                 )
                 # the tables evaluated only where read give the full tables' result
-                full = (log_gamma_table(1.0, max(n, m) + 1), log_gamma_table(theta, n + m + 1))
-                assert got.tolist() == ancestral._freq_row_pmf(l, n, m, *full).probs.tolist()
+                with monkeypatch.context() as patch:
+                    patch.setattr(ancestral, "log_gamma_table", full_log_gamma_table)
+                    (law,) = ancestral._freq_rows(l, np.array([n]), m, theta)
+                assert got.tolist() == law.probs.tolist()
 
     def test_domain_checks(self):
         with pytest.raises(ValueError):
@@ -335,6 +399,58 @@ class TestSingletonLineagePmf:
     def test_zero_time_rejected(self):
         with pytest.raises(ValueError):
             singleton_lineage_pmf(4, ModelParams(1.0, 0.0))
+
+    @pytest.mark.parametrize("m", SINGLETON_GRID_M)
+    def test_stacked_law_matches_per_level_mixture(self, m):
+        # the law and the singleton posterior read one table of every level;
+        # the references build each level's one-level law on its own
+        for theta, t in itertools.product(SINGLETON_GRID_THETA, SINGLETON_GRID_T):
+            params = ModelParams(theta, t)
+            assert_same_law(
+                lambda: singleton_lineage_pmf(m, params),
+                lambda: singleton_lineage_by_level(m, params),
+                (m, theta, t),
+            )
+            for y in sorted({y for y in (0, 1, 3, m // 2, m) if y <= m}):
+                assert_same_law(
+                    lambda: posterior.n_posterior(m, y, params, mode="singleton"),
+                    lambda: singleton_posterior_by_level(m, y, params),
+                    (m, y, theta, t),
+                )
+
+    def test_stacked_refusal_names_the_first_failing_level(self):
+        # one-level laws at m = 146, theta = 0.5 refuse from n = 60 on, each
+        # level naming its own entry; the stack raises level 60's refusal
+        m, theta = 146, 0.5
+        levels = np.arange(40, 81)
+        refusals = [refusal(lambda: r_freq_pmf(1, n, m, theta)) for n in levels.tolist()]
+        first = next(r for r in refusals if r is not None)
+        assert refusals.index(first) == 20 and refusals[21] not in (None, first)
+        assert refusal(lambda: ancestral._freq_rows(1, levels, m, theta)) == first
+        # the levels before it come back as their one-level laws, padded with zeros
+        for n, law in zip(levels[:20].tolist(), ancestral._freq_rows(1, levels[:20], m, theta)):
+            one = r_freq_pmf(1, n, m, theta).probs
+            assert np.max(np.abs(law.probs[: len(one)] - one)) <= 1e-15
+            assert not law.probs[len(one) :].any()
+
+    def test_stacked_law_holds_a_few_blocks(self):
+        # the sweep box's largest stack: 48 levels of 48 moments, a
+        # 110,592-term cube that the kernel sums in blocks.  Its transients
+        # stay near what one-level rows need, so a process running many such
+        # laws keeps the resident set that the level-by-level mixture had
+        params = ModelParams(0.5, 0.15)
+        levels = np.flatnonzero(_ancestral_values(params, None))
+        assert len(levels) == 48 and levels[-1] == 47
+        assert 48**3 > 20 * numerics.BLOCK_TERMS and numerics.BLOCK_TERMS <= 1 << 12
+        singleton_lineage_pmf(146, params)  # the kept tables are not counted
+        _ancestral_values.cache_clear()
+        tracemalloc.start()
+        try:
+            singleton_lineage_pmf(146, params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 7 * 8 * numerics.BLOCK_TERMS
 
     @pytest.mark.parametrize("m", [1, 6, 20, 30])
     def test_closed_route_matches_mixture(self, m):

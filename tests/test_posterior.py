@@ -317,17 +317,25 @@ class TestNPosterior:
 
     def test_built_once_per_observation(self, monkeypatch):
         # every point of a discovery curve conditions on the same posterior:
-        # one likelihood call per population level, whatever m' is asked
+        # one likelihood per population level, whatever m' is asked; the
+        # singleton likelihoods are one stack of every level
         m, params = 30, ModelParams(2.5, 0.4)
         levels = len(np.flatnonzero(_ancestral_values(params, None)))
         calls = Counter()
-        for name in ("r_pmf", "r_freq_pmf"):
-            def counted(*args, name=name, law=getattr(posterior, name)):
-                # the likelihood passes theta itself; predictive rows shift it
-                calls[name] += args[-1] == params.theta
-                return law(*args)
+        r_pmf, freq_rows = posterior.r_pmf, posterior._freq_rows
 
-            monkeypatch.setattr(posterior, name, counted)
+        def counted_r_pmf(*args):
+            # the likelihood passes theta itself; predictive rows shift it
+            calls["r_pmf"] += args[-1] == params.theta
+            return r_pmf(*args)
+
+        def counted_freq_rows(l, rows, *args):
+            calls["stacks"] += 1
+            calls["stacked levels"] += len(rows)
+            return freq_rows(l, rows, *args)
+
+        monkeypatch.setattr(posterior, "r_pmf", counted_r_pmf)
+        monkeypatch.setattr(posterior, "_freq_rows", counted_freq_rows)
         n_posterior.cache_clear()
         # the sample's modal line count, and one singleton line
         y_total, y_single = 3, 1
@@ -336,7 +344,7 @@ class TestNPosterior:
             predictive_singleton_pmf(PredictiveQuery(m, m_prime, y_single, params))
         gt_new_lineage_prob(m, y_total, params)
         gt_singleton_prob(m, y_single, params)
-        assert calls == {"r_pmf": levels, "r_freq_pmf": levels}
+        assert calls == {"r_pmf": levels, "stacks": 1, "stacked levels": levels}
 
     def test_domain_checks(self):
         with pytest.raises(ValueError):
@@ -556,10 +564,10 @@ class TestHitTable:
         for args, probs in COND_R_FREQ_FROZEN.items():
             assert cond_r_freq_pmf(*args).probs.tolist() == probs, args
 
-    @pytest.mark.parametrize("block_terms", [1, 100, 1000, numerics.BLOCK_TERMS])
+    @pytest.mark.parametrize("block_terms", [1, 100, 1000, numerics.BLOCK_TERMS, 1 << 16])
     def test_escape_table_matches_the_one_total_loop(self, monkeypatch, block_terms):
         # the closed route's escape block is one _log_escape call over every n,
-        # whatever runs of rows it is built in
+        # whatever runs of rows it is built in (1 << 16 builds each table in one run)
         monkeypatch.setattr(posterior, "BLOCK_TERMS", block_terms)
         for m, m_prime, y, theta in ((8, 4, 3, 9.5), (25, 200, 20, 0.5), (146, 50, 6, 20.0)):
             totals = theta + np.arange(y, m + m_prime + 1) + m
@@ -604,9 +612,9 @@ class TestHitTable:
             return real(log_terms, signs)
 
         monkeypatch.setattr(numerics, "signed_log_sums", counted)
-        for y in (3, 146):
+        for y in (3, 20, 146):
             width = y + 1
-            per_block = max(1, numerics.BLOCK_TERMS // width**2)
+            per_block = numerics.BLOCK_TERMS // width**2
             for levels in (9, 40):
                 weights = np.zeros(146 + levels)
                 weights[146:] = 1.0 / levels
@@ -618,9 +626,14 @@ class TestHitTable:
                     predictive_singleton_pmf(PredictiveQuery(146, 200, y, ModelParams(9.5, 0.34)))
                 except NumericalConditioningError:
                     pass  # a level's law may be refused; the table is built first
-                # at y = 3 the whole table is one block; at y = 146 each
-                # block holds as many whole levels as BLOCK_TERMS allows
-                assert len(blocks) == math.ceil(levels / per_block) < levels
+                # at y = 3 the whole table is one block; at y = 20 each
+                # block holds as many whole levels as BLOCK_TERMS allows; at
+                # y = 146 no level fits, and each is split into runs of rows
+                if per_block:
+                    assert len(blocks) == math.ceil(levels / per_block) < levels
+                else:
+                    runs = math.ceil(width / (numerics.BLOCK_TERMS // width))
+                    assert len(blocks) == levels * runs > levels
                 assert max(blocks) <= numerics.BLOCK_TERMS
 
 
