@@ -10,8 +10,8 @@ series with different weights on the index i (Griffiths 1980; Tavare
 for the population.  One kernel sums both, and entries are refused when
 cancellation eats the result.  The singleton law's mixture route sums the
 frequency-1 urn law of every population level as one stack; its closed
-route sums each binomial moment as one such series, then takes
-inclusion-exclusion.
+route sums the series of every binomial moment as one stack too, then
+takes inclusion-exclusion.
 """
 
 from __future__ import annotations
@@ -413,28 +413,44 @@ def _singleton_closed_entries(
     exact there because higher coefficients are mth-order differences of
     lower-degree polynomials; a route whose extra factor keeps more
     difference orders alive passes a larger i_hi.  extra_log must be
-    finite at every n >= lo.  Valid for every theta > 0.
+    finite at every n >= lo.  Valid for every theta > 0.  The moments
+    j >= 1 are one -inf-padded stack of (moment x (i, n)-pair) terms,
+    summed in blocks of whole moments of at most BLOCK_TERMS terms (one
+    moment if longer), each term's factors added in the order of a
+    one-moment sum, so every moment has the bits it has on its own.
     """
     log_fact = log_factorials(i_hi + 1)
     log_gamma = log_gamma_table(params.theta, 2 * i_hi + 1)
+    log_rho = _log_abs_rho(np.arange(1, i_hi + 1), params)  # log |rho(i)| at i - 1
+    # moment j's pairs (i, n) = (j + a, j + b), j <= n <= i <= i_hi, lead the
+    # triangle of (a, b) in row order, and (-1)^(i+n) = (-1)^(a+b)
     j_lo = max(lo, 1)
-    tri_i, tri_n = np.tril_indices(i_hi - j_lo + 1)
+    tri_a, tri_b = np.tril_indices(i_hi - j_lo + 1)
+    signs = np.where((tri_a + tri_b) % 2 == 0, 1.0, -1.0)
+    sizes = (i_hi + 1 - np.arange(j_lo, m + 1)) * (i_hi + 2 - np.arange(j_lo, m + 1)) // 2
     # moment j in column j; columns 1..lo-1 are never read
     sums, log_peaks = np.ones((len(extra_log), m + 1)), np.array(extra_log[:, : m + 1])
-    for j in range(j_lo, m + 1):
-        # (i, n) pairs with j <= n <= i <= i_hi lead the triangle in row order
-        size = (i_hi - j + 1) * (i_hi - j + 2) // 2
-        i, n = tri_i[:size] + j, tri_n[:size] + j
-        log_terms = (
-            _log_abs_rho(i, params)
-            - log_fact[n - j] - log_fact[i - n]
-            + log_gamma[n + m - 2 * j] - log_gamma[n - j]
-            + log_gamma[n + i - 1] - log_gamma[n + m]
-            + log_fact[m] - log_fact[j] - log_fact[m - j]
-        )
-        sums[:, j], log_peaks[:, j] = signed_log_sums(
-            log_terms + extra_log[:, n], np.where((i + n) % 2 == 0, 1.0, -1.0)
-        )
+    first = 0
+    while first < len(sizes):
+        fits = np.cumsum(sizes[first:]) * len(extra_log) <= BLOCK_TERMS
+        stop = first + max(1, np.count_nonzero(fits))
+        j = np.arange(j_lo + first, j_lo + stop)[:, None]
+        a, b = tri_a[: sizes[first]], tri_b[: sizes[first]]
+        # in place and in one-moment order; padded pairs read clipped indices and are dropped
+        terms = np.take(log_rho, a + (j - 1), mode="clip")
+        terms -= log_fact[b]
+        terms -= log_fact[a - b]
+        terms += np.take(log_gamma, b + (m - j), mode="clip")
+        terms -= log_gamma[b]
+        terms += np.take(log_gamma, a + b + (2 * j - 1), mode="clip")
+        terms -= np.take(log_gamma, b + (j + m), mode="clip")
+        terms += log_fact[m]
+        terms -= log_fact[j]
+        terms -= log_fact[m - j]
+        terms[np.arange(len(a)) >= sizes[first:stop, None]] = -math.inf
+        terms = terms + np.take(extra_log, b + j, axis=1, mode="clip")
+        sums[:, j[:, 0]], log_peaks[:, j[:, 0]] = signed_log_sums(terms, signs[: len(a)])
+        first = stop
     return moment_count_sums(sums, log_peaks, lo)
 
 

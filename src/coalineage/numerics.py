@@ -12,11 +12,12 @@ naming the first failing entry.  exact_count_sums is the one
 inclusion-exclusion path: every "exactly z of N events" law goes through
 it, one row or a stack of levels at a time, in 32 KB blocks built and
 shifted in place, and moment_count_sums takes it over moments that are
-signed sums themselves (the closed singleton routes).  Every table of
-log k! is read from one, log_factorials, kept for the process and grown
-on demand; log_binomial, which needs three entries, evaluates them with
-lgamma instead.  The lgamma(theta + k) tables are built per call, and a
-kernel that reads few entries of a long one evaluates only those.
+signed sums themselves (the closed singleton routes, whose moments are
+one stack of series).  Every table of log k! is read from one,
+log_factorials, kept for the process and grown on demand; log_binomial,
+which needs three entries, evaluates them with lgamma instead.  The
+lgamma(theta + k) tables are built per call, and a kernel that reads few
+entries of a long one evaluates only those.
 """
 
 from __future__ import annotations
@@ -198,7 +199,8 @@ def signed_log_sums(
 _PASCAL: list = []
 PASCAL_KEEP = 256
 # floats in one signed_log_sums block of exact_count_sums (32 KB, so a stack's
-# transients stay near one level's); a row longer than this is a block of its own
+# transients stay near one level's), and terms in one block of the closed
+# singleton moments; a row longer than this is a block of its own
 BLOCK_TERMS = 1 << 12
 
 

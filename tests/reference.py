@@ -4,8 +4,9 @@ Exact combinatorial counts, falling factorials and factorial moments give
 independent checks on the analytic laws.  The entry-by-entry enlarged
 type count is the reference for the shifted prior urn law, the
 level-by-level hit laws for the singleton predictive's one-pass hit
-table, and the level-by-level frequency-1 laws for the singleton law's
-and the singleton posterior's one-pass table.  The one-row signed sum, the per-entry gate, the row-by-row
+table, the level-by-level frequency-1 laws for the singleton law's and
+the singleton posterior's one-pass table, and the moment-by-moment closed
+singleton kernel for its stacked moments.  The one-row signed sum, the per-entry gate, the row-by-row
 line-count series and the entry-by-entry frequency-level urn law are the
 references for the production block kernels and array gates.  The block-process step, the
 event-by-event block process and the death-process sampler are the
@@ -24,7 +25,13 @@ from functools import lru_cache
 import numpy as np
 
 from coalineage import posterior
-from coalineage.ancestral import ModelParams, _ancestral_values, _last_index, r_freq_pmf
+from coalineage.ancestral import (
+    ModelParams,
+    _ancestral_values,
+    _last_index,
+    _log_abs_rho,
+    r_freq_pmf,
+)
 from coalineage.errors import NumericalConditioningError
 from coalineage.ewens import AllelicPartition
 from coalineage.numerics import (
@@ -34,8 +41,11 @@ from coalineage.numerics import (
     SignedLogValue,
     exact_count_sums,
     log_binomial,
+    log_factorials,
     log_gamma_table,
     log_rising_factorial,
+    moment_count_sums,
+    signed_log_sums,
 )
 from coalineage.pmf import Pmf
 from coalineage.posterior import _validate_conditional_args
@@ -354,6 +364,33 @@ def singleton_posterior_by_level(m: int, y: int, params: ModelParams) -> Pmf:
         math.fsum(weights), f"the observed statistic {y} at t = {params.t:g} has probability"
     )
     return Pmf.from_floats(weights / marginal, 0, context="line count posterior")
+
+
+def singleton_closed_entries_by_moment(
+    m: int, lo: int, params: ModelParams, i_hi: int, extra_log: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """ancestral._singleton_closed_entries with one signed_log_sums call per
+    binomial moment j, each building its own (i, n) triangle and log |rho(i)|."""
+    log_fact = log_factorials(i_hi + 1)
+    log_gamma = log_gamma_table(params.theta, 2 * i_hi + 1)
+    j_lo = max(lo, 1)
+    tri_i, tri_n = np.tril_indices(i_hi - j_lo + 1)
+    sums, log_peaks = np.ones((len(extra_log), m + 1)), np.array(extra_log[:, : m + 1])
+    for j in range(j_lo, m + 1):
+        # (i, n) pairs with j <= n <= i <= i_hi lead the triangle in row order
+        size = (i_hi - j + 1) * (i_hi - j + 2) // 2
+        i, n = tri_i[:size] + j, tri_n[:size] + j
+        log_terms = (
+            _log_abs_rho(i, params)
+            - log_fact[n - j] - log_fact[i - n]
+            + log_gamma[n + m - 2 * j] - log_gamma[n - j]
+            + log_gamma[n + i - 1] - log_gamma[n + m]
+            + log_fact[m] - log_fact[j] - log_fact[m - j]
+        )
+        sums[:, j], log_peaks[:, j] = signed_log_sums(
+            log_terms + extra_log[:, n], np.where((i + n) % 2 == 0, 1.0, -1.0)
+        )
+    return moment_count_sums(sums, log_peaks, lo)
 
 
 def log_escape_by_step(b: float, m_prime: int, y: int, weight: int) -> np.ndarray:

@@ -42,6 +42,7 @@ from reference import (
     lineage_entries_by_row,
     pmf_by_entry,
     r_freq_pmf_by_entry,
+    singleton_closed_entries_by_moment,
     singleton_lineage_by_level,
     singleton_posterior_by_level,
     values_by_entry,
@@ -469,6 +470,134 @@ class TestSingletonLineagePmf:
             for method in ("mixture", "closed"):
                 law = singleton_lineage_pmf(m, params, method)
                 assert np.max(np.abs(law.probs - reference)) <= 1e-9, (m, theta, t, method)
+
+
+# (m, lo, i_hi, extra_log rows) for the closed kernel: the law's own call,
+# predictive-shaped calls with lo >= 1 and several rows, and calls where one
+# moment's triangle exceeds BLOCK_TERMS (i_hi = 90 with two rows, i_hi = 100)
+CLOSED_KERNEL_CALLS = (
+    (0, 0, 0, 1), (1, 0, 1, 1), (5, 0, 5, 1), (20, 0, 20, 1), (30, 0, 30, 1), (60, 0, 60, 1),
+    (8, 3, 13, 4), (20, 1, 25, 2), (20, 7, 60, 3), (30, 30, 35, 2), (40, 12, 90, 2),
+    (90, 0, 90, 2), (60, 2, 100, 1),
+)
+
+
+def closed_routes(m, y, params):
+    """The three routes through the closed singleton kernel at one point."""
+    return {
+        "law": lambda: singleton_lineage_pmf(m, params, method="closed").probs.tobytes(),
+        "predictive": lambda: posterior.predictive_singleton_pmf(
+            posterior.PredictiveQuery(m, 3, y, params), method="closed"
+        ).probs.tobytes(),
+        "discovery": lambda: posterior.gt_singleton_prob(m, y, params, method="closed"),
+    }
+
+
+def outcome(compute):
+    """The result, or the refusal's type and message."""
+    try:
+        return compute()
+    except (NumericalConditioningError, ValueError) as err:
+        return type(err).__name__, str(err)
+
+
+class TestClosedMomentStack:
+    """The closed singleton kernel's stacked moments against the loop that sums
+    one binomial moment per signed_log_sums call."""
+
+    @pytest.mark.parametrize("m, lo, i_hi, rows", CLOSED_KERNEL_CALLS)
+    def test_matches_moment_by_moment_loop(self, m, lo, i_hi, rows):
+        rng = np.random.default_rng(1000 * m + i_hi)
+        for theta, t in ((0.5, 0.1), (1.0, 0.05), (3.0, 0.34), (20.0, 2.0), (9.5, 1e308)):
+            params = ModelParams(theta, t)
+            extra_log = np.zeros((1, i_hi + 1)) if rows == 1 else rng.normal(size=(rows, i_hi + 1))
+            got = ancestral._singleton_closed_entries(m, lo, params, i_hi, extra_log)
+            want = singleton_closed_entries_by_moment(m, lo, params, i_hi, extra_log)
+            for g, w in zip(got, want):
+                assert g.shape == w.shape and g.tobytes() == w.tobytes(), (m, lo, i_hi, theta, t)
+
+    def test_grid_reaches_a_moment_longer_than_a_block(self):
+        # the first moment's triangle, over every row, alone exceeds a block
+        # in one-row calls and in calls of several rows
+        rows_past_a_block = {
+            rows
+            for m, lo, i_hi, rows in CLOSED_KERNEL_CALLS
+            if m >= max(lo, 1)
+            and rows * (i_hi - max(lo, 1) + 1) * (i_hi - max(lo, 1) + 2) // 2 > numerics.BLOCK_TERMS
+        }
+        assert {1, 2} <= rows_past_a_block
+
+    def test_closed_routes_keep_their_results_and_refusals(self, monkeypatch):
+        # the law, the predictive and the discovery probability, each with the
+        # stacked kernel and with the moment loop in its place: the same bytes,
+        # or the same refusal type and message
+        stacked, by_moment = {}, {}
+        points = [
+            (m, y, ModelParams(theta, t))
+            for m in (5, 20, 30)
+            for y in (1, m // 2)
+            for theta in (0.5, 1.0, 9.5)
+            for t in (0.05, 0.1, 0.15, 0.34)
+        ]
+        for results in (stacked, by_moment):
+            if results is by_moment:
+                for module in (ancestral, posterior):
+                    monkeypatch.setattr(
+                        module, "_singleton_closed_entries", singleton_closed_entries_by_moment
+                    )
+            for m, y, params in points:
+                for route, compute in closed_routes(m, y, params).items():
+                    results[m, y, params, route] = outcome(compute)
+        assert stacked == by_moment
+        for route in ("law", "predictive", "discovery"):
+            kinds = {type(r) for key, r in stacked.items() if key[-1] == route}
+            assert tuple in kinds and len(kinds) == 2, route  # some refuse, some return
+
+    def test_closed_law_sums_every_moment_in_one_call(self, monkeypatch):
+        # at m = 20 the 20 moments hold 1,540 terms: one block, where the
+        # moment loop makes 20 calls
+        calls, rho_calls = [], []
+        kernel, log_abs_rho = ancestral.signed_log_sums, ancestral._log_abs_rho
+        monkeypatch.setattr(
+            ancestral, "signed_log_sums", lambda *a: (calls.append(a), kernel(*a))[1]
+        )
+        monkeypatch.setattr(
+            ancestral, "_log_abs_rho", lambda *a: (rho_calls.append(a), log_abs_rho(*a))[1]
+        )
+        singleton_lineage_pmf(20, ModelParams(3.0, 0.4), method="closed")
+        assert len(calls) == 1 and len(rho_calls) == 1
+
+    def test_log_rho_is_taken_once_per_kernel_call(self, monkeypatch):
+        kernel_calls, rho_calls = [], []
+        kernel, log_abs_rho = ancestral._singleton_closed_entries, ancestral._log_abs_rho
+
+        def counted(*args):
+            kernel_calls.append(args)
+            return kernel(*args)
+
+        for module in (ancestral, posterior):
+            monkeypatch.setattr(module, "_singleton_closed_entries", counted)
+        monkeypatch.setattr(
+            ancestral, "_log_abs_rho", lambda *a: (rho_calls.append(a), log_abs_rho(*a))[1]
+        )
+        for m, y in ((20, 4), (30, 10), (60, 2)):
+            for compute in closed_routes(m, y, ModelParams(9.5, 0.34)).values():
+                outcome(compute)
+        assert len(kernel_calls) == 9 and len(rho_calls) == len(kernel_calls)
+
+    def test_stacked_moments_hold_a_few_blocks(self):
+        # 60 moments of up to 1,830 terms each: summed as one block they would
+        # take 60 x 1,830 floats, about 880 KB; in blocks of whole moments the
+        # transients stay within a few blocks
+        params = ModelParams(3.0, 0.4)
+        singleton_lineage_pmf(60, params, method="closed")  # the kept tables are not counted
+        tracemalloc.start()
+        try:
+            singleton_lineage_pmf(60, params, method="closed")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 8 * numerics.BLOCK_TERMS
 
 
 def compositions_without_ones(total: int, parts: int) -> int:
