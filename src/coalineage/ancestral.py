@@ -349,17 +349,12 @@ def r_pmf(n: int, m: int, theta: float) -> Pmf:
     )
 
 
-def _freq_rows(l: int, levels: np.ndarray, m: int, theta: float) -> list[Pmf]:
-    """r_freq_pmf(l, n, m, theta) for every n of the increasing array levels.
-
-    Entry x is the chance that exactly x of the n seed types are drawn l
-    times: exact_count_sums over the binomial moments, C(n,i) times the
-    chance that i given types are, for i = 0..min(n, m // l).  The levels'
-    moments form one -inf-padded stack, summed in one call and gated row
-    by row: each law is padded with exact zeros, and the first failing
-    level raises its own refusal.  lgamma(theta + k) is evaluated only on
-    the two ranges that some level reads: k <= top, and k from
-    m - l min(top, m // l) to top + m.
+def _freq_moments(l: int, levels: np.ndarray, m: int, theta: float) -> np.ndarray:
+    """Log binomial moments of r_freq_pmf(l, n, m, theta) for every n of the
+    increasing array levels: row n holds C(n,i) times the chance that i
+    given types are each drawn l times, i = 0..min(n, m // l), padded with
+    -inf.  lgamma(theta + k) is evaluated only on the two ranges that some
+    level reads: k <= top, and k from m - l min(top, m // l) to top + m.
     """
     top = int(levels[-1])
     i = np.arange(min(top, m // l) + 1)
@@ -368,7 +363,7 @@ def _freq_rows(l: int, levels: np.ndarray, m: int, theta: float) -> list[Pmf]:
     n = levels[:, None]
     j = np.minimum(i, n)  # past row n's last moment the index repeats it, masked below
     # m! C(n,i) (theta+n-i)_(m-il) / ((m-il)! (theta+n)_m)
-    log_moments = np.where(
+    return np.where(
         i <= n,
         log_fact[m]
         + log_fact[n] - log_fact[j] - log_fact[n - j]
@@ -377,22 +372,30 @@ def _freq_rows(l: int, levels: np.ndarray, m: int, theta: float) -> list[Pmf]:
         - (log_gamma[n + m] - log_gamma[n]),
         -math.inf,
     )
-    return Pmf.from_signed_rows(*exact_count_sums(log_moments, 0), 0, "frequency-level type count")
+
+
+def _freq_rows(l: int, levels: np.ndarray, m: int, theta: float) -> np.ndarray:
+    """The probs of r_freq_pmf(l, n, m, theta) for every n of levels, as one
+    read-only table: the stack of _freq_moments summed in one call and gated
+    in one pass.  Each row is padded with exact zeros past its own law, and
+    the first failing level raises its own refusal."""
+    sums, log_peaks = exact_count_sums(_freq_moments(l, levels, m, theta), 0)
+    return Pmf.from_signed_rows(sums, log_peaks, 0, "frequency-level type count")
 
 
 def r_freq_pmf(l: int, n: int, m: int, theta: float) -> Pmf:
     """Old types observed exactly l times: n seed types, m draws.
 
     Alternating sum over how many of the n types are forced to frequency
-    l, through the usual gates: the one-level view of _freq_rows.
+    l, through the usual gates: the one-level stack of _freq_moments.
     """
     if l < 1:
         raise ValueError(f"l must be >= 1, got {l}")
     if n < 0 or m < 0:
         raise ValueError("n and m must be nonnegative")
     _require_theta(theta)
-    (law,) = _freq_rows(l, np.array([n]), m, theta)
-    return law
+    sums, log_peaks = exact_count_sums(_freq_moments(l, np.array([n]), m, theta)[0], 0)
+    return Pmf.from_signed_sums(sums, log_peaks, 0, context="frequency-level type count")
 
 
 def _singleton_closed_entries(
@@ -461,8 +464,8 @@ def singleton_lineage_pmf(m: int, params: ModelParams, method: str = "mixture") 
     surviving line count: conditional on n lines surviving, the m sample
     units fall into the urn with n seed types, and a line is a singleton
     ancestor when its type is drawn exactly once.  The frequency-1 laws of
-    every level that carries weight are built as one table (_freq_rows)
-    and mixed in one weighted column sum.  method="closed"
+    every weighted level are one gated array (_freq_rows), each level summed
+    over its own width, mixed in one weighted column sum.  method="closed"
     evaluates the direct alternating representation instead, an
     independent cross-check route that reads nothing from the mixture:
     binomial moments, then inclusion-exclusion.
@@ -477,7 +480,7 @@ def singleton_lineage_pmf(m: int, params: ModelParams, method: str = "mixture") 
         return Pmf.from_signed_sums(sums[0], log_peaks[0], 0, context="singleton ancestor count")
     weights = _ancestral_values(params, None)
     levels = np.flatnonzero(weights)
-    table = np.array([law.probs for law in _freq_rows(1, levels, m, params.theta)])
+    table = _freq_rows(1, levels, m, params.theta)
     probs = np.zeros(m + 1)
     # summed level by level in increasing n, with no BLAS call and its buffers
     probs[: table.shape[1]] = (weights[levels, None] * table).sum(axis=0)

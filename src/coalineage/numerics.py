@@ -10,12 +10,13 @@ turns those arrays into numbers only where the surviving digits are more
 than rounding noise; otherwise callers see a NumericalConditioningError
 naming the first failing entry.  exact_count_sums is the one
 inclusion-exclusion path: every "exactly z of N events" law goes through
-it, one row or a stack of levels at a time, in 32 KB blocks built and
-shifted in place, and moment_count_sums takes it over moments that are
-signed sums themselves (the closed singleton routes, whose moments are
-one stack of series).  Every table of log k! is read from one,
-log_factorials, kept for the process and grown on demand; log_binomial,
-which needs three entries, evaluates them with lgamma instead.  The
+it, one row or a stack of levels at a time, each level only over its own
+width, in 32 KB blocks built and shifted in place, and moment_count_sums
+takes it over moments that are signed sums themselves (the closed
+singleton routes, whose moments are one stack of series).  Every table
+of log k! is read from one, log_factorials, kept for the process and
+grown on demand; log_binomial takes a coefficient with a short side from
+the exact integer and evaluates any other from three lgamma calls.  The
 lgamma(theta + k) tables are built per call, and a kernel that reads few
 entries of a long one evaluates only those.
 """
@@ -157,6 +158,8 @@ def log_binomial(n: int, k: int) -> float:
         raise ValueError(f"n must be >= 0, got {n}")
     if k < 0 or k > n:
         return -math.inf
+    if min(k, n - k) <= 64:  # exact: a difference of lgamma values near log n! loses digits
+        return math.log(math.comb(n, k))
     # the log_factorials entries, evaluated directly so that one call at
     # large n does not grow the kept table to n + 1
     return math.lgamma(1.0 + n) - math.lgamma(1.0 + k) - math.lgamma(1.0 + (n - k))
@@ -213,14 +216,14 @@ def exact_count_sums(log_moments: np.ndarray, lo: int) -> tuple[np.ndarray, np.n
     term taken as k! S_k / (z! (k-z)!), so its log peak is the largest
     log C(k,z) + log S_k.
 
-    log_moments may also be a stack of such rows, one per level (levels x
-    (N+1)), and the results are stacked the same way; a level with fewer
-    events pads its row with -inf, and its entries past its own N come
-    out as exact zeros, (0.0, -inf).  The (level, z, k) terms go to
-    signed_log_sums in blocks of whole levels, or of rows z within one
-    level, of at most BLOCK_TERMS floats (one row if it is longer), so
-    each entry has the same bits whatever stack it was summed in, and a
-    single row is the one-level stack.
+    log_moments may also be a stack of rows, one per level, with results
+    stacked the same way.  A level's width runs from lo to its last moment
+    that is not -inf; its entries past it are exact zeros, (0.0, -inf), and
+    no term past it is built.  Widest level first, the (level, z, k) terms
+    go to signed_log_sums in blocks of whole levels, or of rows z of one
+    level, of at most BLOCK_TERMS floats (one row if longer), each block as
+    wide as its first level.  A term past a level's width is an exact zero,
+    so an entry has the same bits in any stack, and one row is a stack.
     """
     top = log_moments.shape[-1]
     block = _PASCAL[0] if _PASCAL else None
@@ -235,20 +238,23 @@ def exact_count_sums(log_moments: np.ndarray, lo: int) -> tuple[np.ndarray, np.n
     gap_log_fact, signs = block[0][k, k], block[1][k, k]
     log_fact = log_fact[k]
     lead, width = log_moments.shape[:-1], top - lo
-    # (levels, z, k) terms; a single row has no levels axis
-    weighted = (log_moments[..., k] + log_fact)[..., None, :]
-    # a block is whole levels, or rows z of one level: a run of entries in row order
-    span = max(width, 1)  # lo = N + 1 leaves no entries
-    z_step = min(span, BLOCK_TERMS // span) or 1
-    level_step = BLOCK_TERMS // (z_step * span) or 1
-    # each block's results go straight to their place; a single row is one level
-    sums, log_peaks = np.empty((2, math.prod(lead), width))
-    for a in range(0, len(weighted), level_step):
-        for z in [slice(c, c + z_step) for c in range(0, width, z_step)]:
-            log_terms = weighted[a : a + level_step] - log_fact[z, None]
-            log_terms -= gap_log_fact[z]  # in place: a block is one array until it is shifted
-            block = signed_log_sums(log_terms, signs[z])
-            sums[a : a + level_step, z], log_peaks[a : a + level_step, z] = block
+    # one row per level; widths and order shun numpy code no other path runs (bool math, argsort)
+    log_moments = log_moments[..., k].reshape(math.prod(lead), width)
+    widths = np.where(log_moments != -math.inf, np.arange(1, width + 1), 0)
+    widths = widths.max(axis=1, initial=0).tolist()
+    order = sorted(range(len(widths)), key=widths.__getitem__, reverse=True)
+    # each block's results go straight to their place; a level of width 0 stays zeros
+    sums, log_peaks = np.zeros((len(widths), width)), np.full((len(widths), width), -math.inf)
+    a = 0
+    while a < len(order) and (span := widths[order[a]]):
+        z_step = min(span, BLOCK_TERMS // span) or 1
+        rows = order[a : a + (BLOCK_TERMS // (z_step * span) or 1)]
+        weighted = (log_moments[rows, :span] + log_fact[:span])[:, None, :]
+        for z in [slice(c, min(c + z_step, span)) for c in range(0, span, z_step)]:
+            log_terms = weighted - log_fact[z, None]
+            log_terms -= gap_log_fact[z, :span]  # in place: one array until it is shifted
+            sums[rows, z], log_peaks[rows, z] = signed_log_sums(log_terms, signs[z, :span])
+        a += len(rows)
     return sums.reshape(*lead, width), log_peaks.reshape(*lead, width)
 
 

@@ -79,12 +79,8 @@ class Pmf:
 
     @classmethod
     def from_signed_sums(
-        cls,
-        sums: np.ndarray,
-        log_peaks: np.ndarray,
-        support_offset: int = 0,
-        renormalize: bool = True,
-        context: str = "pmf",
+        cls, sums: np.ndarray, log_peaks: np.ndarray, support_offset: int = 0,
+        renormalize: bool = True, context: str = "pmf",
     ) -> "Pmf":
         """Assemble a Pmf from the (sums, log_peaks) arrays of numerics.signed_log_sums.
 
@@ -102,31 +98,30 @@ class Pmf:
             lambda i: f"{context}: entry at {support_offset + i}",
             "use the simulation path for this parameter regime",
         )
-        (law,) = cls._mass_checked(
-            (values,), (float(values.sum()),), support_offset, renormalize, context
-        )
-        return law
+        return cls._mass_checked(values, support_offset, renormalize, context)
 
     @classmethod
-    def from_signed_rows(
-        cls, sums: np.ndarray, log_peaks: np.ndarray, support_offset: int, context: str
-    ) -> list["Pmf"]:
-        """from_signed_sums of each row of (rows x entries) stacks, gated in one pass.
+    def from_signed_rows(cls, sums, log_peaks, support_offset: int, context: str) -> np.ndarray:
+        """The probs of from_signed_sums of each row of (rows x entries) stacks, as one table.
 
         Every row is gated, mass-checked and renormalized as
-        from_signed_sums does it, with the same bits, and the first failing
-        row raises its own refusal.
+        from_signed_sums does it, in one pass and with the same bits, and
+        the first failing row raises its own refusal.  The table is read-only.
         """
         try:
             values = reliable_values(sums, log_peaks, str, "")
         except NumericalConditioningError:
             # a row before the one the gate refused may fail its mass check
             # first: one row at a time, the first failing row is named
-            return [
+            for row, peaks in zip(sums, log_peaks):
                 cls.from_signed_sums(row, peaks, support_offset, context=context)
-                for row, peaks in zip(sums, log_peaks)
-            ]
-        return cls._mass_checked(values, values.sum(axis=1).tolist(), support_offset, True, context)
+            raise
+        totals = values.sum(axis=1)
+        for total in totals.tolist():
+            _mass_defect(total, context)
+        values /= totals[:, None]
+        values.flags.writeable = False  # read-only, as every Pmf's probs are
+        return values
 
     @classmethod
     def from_floats(
@@ -144,10 +139,7 @@ class Pmf:
                 f"{context}: negative probability beyond the clipping floor"
             )
         values[neg] = 0.0
-        (law,) = cls._mass_checked(
-            (values,), (float(values.sum()),), support_offset, renormalize, context
-        )
-        return law
+        return cls._mass_checked(values, support_offset, renormalize, context)
 
     @classmethod
     def from_mixture(cls, weights, component, support_offset, size, context) -> "Pmf":
@@ -164,18 +156,21 @@ class Pmf:
         return cls.from_floats(probs, support_offset, context=context)
 
     @classmethod
-    def _mass_checked(cls, rows, totals, support_offset, renormalize, context) -> list["Pmf"]:
-        """One Pmf per row, given each row's total mass, or a refusal naming the
-        first row whose mass is off by more than MASS_TOLERANCE."""
-        laws = []
-        for row, total in zip(rows, totals):
-            defect = abs(1.0 - total)
-            if not defect <= MASS_TOLERANCE:  # a nan defect is refused too
-                raise NumericalConditioningError(
-                    f"{context}: mass defect {defect:.3e} exceeds {MASS_TOLERANCE:.0e}"
-                )
-            # a defect within tolerance leaves the total positive
-            probs = row / total if renormalize else row
-            probs.flags.writeable = False  # a memoized law is shared by its callers
-            laws.append(cls(support_offset, probs, defect, renormalize and defect > 1e-15))
-        return laws
+    def _mass_checked(cls, values, support_offset, renormalize, context) -> "Pmf":
+        """The Pmf of one row of values, refused if its mass is off by more than MASS_TOLERANCE."""
+        total = float(values.sum())
+        defect = _mass_defect(total, context)
+        # a defect within tolerance leaves the total positive
+        probs = values / total if renormalize else values
+        probs.flags.writeable = False  # a memoized law is shared by its callers
+        return cls(support_offset, probs, defect, renormalize and defect > 1e-15)
+
+
+def _mass_defect(total: float, context: str) -> float:
+    """|1 - total|, or a refusal when it exceeds MASS_TOLERANCE."""
+    defect = abs(1.0 - total)
+    if not defect <= MASS_TOLERANCE:  # a nan defect is refused too
+        raise NumericalConditioningError(
+            f"{context}: mass defect {defect:.3e} exceeds {MASS_TOLERANCE:.0e}"
+        )
+    return defect

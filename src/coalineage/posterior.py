@@ -11,9 +11,9 @@ mixture over the line-count posterior, whose weights are all positive
 (the production path), and the direct closed form, kept as a cross-check
 because its alternating sums cancel harder.  Both hit-count routes are
 escape moments, then one inclusion-exclusion (numerics.exact_count_sums).
-The mixture singleton predictive builds one hit table per query, every
-posterior level that carries weight summed as one stack and gated row by
-row.  Closed singleton routes condition on their own kernel's marginal.
+The mixture singleton predictive sums and gates one hit table of every
+weighted posterior level per query, as one array mixed in one column
+sum.  Closed singleton routes condition on their own kernel's marginal.
 """
 
 from __future__ import annotations
@@ -158,14 +158,14 @@ def _log_binomial_row(y: int) -> np.ndarray:
     return np.array([math.log(math.comb(y, k)) for k in range(y + 1)])
 
 
-def _hit_count_pmfs(log_escape: np.ndarray, m_prime: int, context: str) -> list[Pmf]:
-    """Laws of how many of y given lines m' draws hit, one per row of log_escape:
-    y minus exactly the number that escape, whose binomial moments are
-    C(y,k) exp(log_escape[row, k]), k = 0..y; every row in one pass."""
+def _hit_count_sums(log_escape: np.ndarray, m_prime: int) -> tuple[np.ndarray, np.ndarray]:
+    """exact_count_sums results, x = 0..min(y, m'), for how many of y given lines
+    m' draws hit, one row per row of log_escape: y minus exactly the number that
+    escape, whose binomial moments are C(y,k) exp(log_escape[row, k]), k = 0..y."""
     y = log_escape.shape[1] - 1
     log_moments = _log_binomial_row(y) + log_escape
     sums, log_peaks = exact_count_sums(log_moments, y - min(y, m_prime))
-    return Pmf.from_signed_rows(sums[:, ::-1], log_peaks[:, ::-1], 0, context)
+    return sums[:, ::-1], log_peaks[:, ::-1]
 
 
 def cond_r_freq_pmf(l: int, n: int, m: int, m_prime: int, y: int, theta: float) -> Pmf:
@@ -178,10 +178,9 @@ def cond_r_freq_pmf(l: int, n: int, m: int, m_prime: int, y: int, theta: float) 
     if l < 1:
         raise ValueError(f"l must be >= 1, got {l}")
     _validate_conditional_args(n, m, m_prime, y, theta, y_cap=min(n, m // l))
-    (law,) = _hit_count_pmfs(
-        _log_escape(np.array([theta + n + m]), m_prime, y, 1 + l), m_prime, "hit type count"
-    )
-    return law
+    escape = _log_escape(np.array([theta + n + m]), m_prime, y, 1 + l)
+    sums, log_peaks = _hit_count_sums(escape, m_prime)
+    return Pmf.from_signed_sums(sums[0], log_peaks[0], 0, context="hit type count")
 
 
 @lru_cache(maxsize=128)
@@ -201,8 +200,9 @@ def n_posterior(m: int, y: int, params: ModelParams, mode: str = "total") -> Pmf
     levels = np.flatnonzero(values)
     if mode == "total":
         likelihood = [r_pmf(n, m, params.theta).prob(y) for n in levels.tolist()]
-    else:  # column y of the singleton law's frequency-1 table
-        likelihood = [law.prob(y) for law in _freq_rows(1, levels, m, params.theta)]
+    else:  # column y of the singleton law's frequency-1 table, zero past its width
+        table = _freq_rows(1, levels, m, params.theta)
+        likelihood = table[:, y] if y < table.shape[1] else 0.0
     weights = np.zeros(len(values))
     weights[levels] = values[levels] * likelihood
     event = f"the observed statistic {y} at t = {params.t:g} has probability"
@@ -268,6 +268,9 @@ def predictive_singleton_pmf(query: PredictiveQuery, method: str = "mixture") ->
 
     Given y such lines in the m-sample, x counts the ones that stop being
     singletons because a new draw lands on them; support 0..min(y, m').
+    The mixture route gates one hit table of cond_r_freq_pmf(1, n, ...) over
+    every weighted posterior level n and adds its rows in increasing n with
+    no BLAS call: a running sum, which keeps that order even in one column.
     The closed route evaluates the direct alternating representation of
     each escape moment, whose series runs to m + m': the extra-draw factor
     keeps the last m' difference orders alive past the marginal's cutoff at m.
@@ -280,18 +283,11 @@ def predictive_singleton_pmf(query: PredictiveQuery, method: str = "mixture") ->
     theta = params.theta
     if method == "mixture":
         weights = n_posterior(m, y, params, mode="singleton").probs
-        # cond_r_freq_pmf(1, n, m, m_prime, y, theta) at every level n that carries weight
         levels = np.flatnonzero(weights)
-        table = _hit_count_pmfs(
-            _log_escape(theta + levels + m, m_prime, y, 2), m_prime, "hit type count"
-        )
-        return Pmf.from_mixture(
-            weights,
-            dict(zip(levels.tolist(), table)).__getitem__,
-            0,
-            min(y, m_prime) + 1,
-            context="hit singleton count",
-        )
+        sums, log_peaks = _hit_count_sums(_log_escape(theta + levels + m, m_prime, y, 2), m_prime)
+        table = Pmf.from_signed_rows(sums, log_peaks, 0, "hit type count")
+        probs = np.cumsum(weights[levels, None] * table, axis=0)[-1]
+        return Pmf.from_floats(probs, 0, context="hit singleton count")
     # row k, column n >= y: the chance that k given singleton lines escape all m' draws
     escape = _log_escape(theta + np.arange(y, m + m_prime + 1) + m, m_prime, y, 2)
     sums, log_peaks = _singleton_closed_entries(

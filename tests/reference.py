@@ -5,8 +5,10 @@ independent checks on the analytic laws.  The entry-by-entry enlarged
 type count is the reference for the shifted prior urn law, the
 level-by-level hit laws for the singleton predictive's one-pass hit
 table, the level-by-level frequency-1 laws for the singleton law's and
-the singleton posterior's one-pass table, and the moment-by-moment closed
-singleton kernel for its stacked moments.  The one-row signed sum, the per-entry gate, the row-by-row
+the singleton posterior's one-pass table, the moment-by-moment closed
+singleton kernel for its stacked moments, and the padded
+inclusion-exclusion kernel for the one that sums each level only over its
+own width.  The one-row signed sum, the per-entry gate, the row-by-row
 line-count series and the entry-by-entry frequency-level urn law are the
 references for the production block kernels and array gates.  The block-process step, the
 event-by-event block process and the death-process sampler are the
@@ -24,7 +26,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from coalineage import posterior
+from coalineage import numerics, posterior
 from coalineage.ancestral import (
     ModelParams,
     _ancestral_values,
@@ -391,6 +393,33 @@ def singleton_closed_entries_by_moment(
             log_terms + extra_log[:, n], np.where((i + n) % 2 == 0, 1.0, -1.0)
         )
     return moment_count_sums(sums, log_peaks, lo)
+
+
+def exact_count_sums_padded(log_moments: np.ndarray, lo: int) -> tuple[np.ndarray, np.ndarray]:
+    """numerics.exact_count_sums with every level padded to the whole stack's
+    width: blocks of whole levels, or of rows z within one level, of at most
+    numerics.BLOCK_TERMS floats, each summing every (z, k) term up to column N,
+    and a fresh Pascal block per call."""
+    top = log_moments.shape[-1]
+    log_fact = log_factorials(top)
+    gap = np.arange(top) - np.arange(top)[:, None]
+    k = slice(lo, top)
+    gap_log_fact = np.where(gap >= 0, log_fact[np.abs(gap)], math.inf)[k, k]
+    signs = np.where(gap % 2 == 0, 1.0, -1.0)[k, k]
+    log_fact = log_fact[k]
+    lead, width = log_moments.shape[:-1], top - lo
+    weighted = (log_moments[..., k] + log_fact)[..., None, :]
+    span = max(width, 1)
+    z_step = min(span, numerics.BLOCK_TERMS // span) or 1
+    level_step = numerics.BLOCK_TERMS // (z_step * span) or 1
+    sums, log_peaks = np.empty((2, math.prod(lead), width))
+    for a in range(0, len(weighted), level_step):
+        for z in [slice(c, c + z_step) for c in range(0, width, z_step)]:
+            log_terms = weighted[a : a + level_step] - log_fact[z, None]
+            log_terms -= gap_log_fact[z]
+            block = signed_log_sums(log_terms, signs[z])
+            sums[a : a + level_step, z], log_peaks[a : a + level_step, z] = block
+    return sums.reshape(*lead, width), log_peaks.reshape(*lead, width)
 
 
 def log_escape_by_step(b: float, m_prime: int, y: int, weight: int) -> np.ndarray:

@@ -359,8 +359,8 @@ class TestSeedTypeLaws:
                 # the tables evaluated only where read give the full tables' result
                 with monkeypatch.context() as patch:
                     patch.setattr(ancestral, "log_gamma_table", full_log_gamma_table)
-                    (law,) = ancestral._freq_rows(l, np.array([n]), m, theta)
-                assert got.tolist() == law.probs.tolist()
+                    (row,) = ancestral._freq_rows(l, np.array([n]), m, theta)
+                assert got.tobytes() == row.tobytes() and not row.flags.writeable
 
     def test_domain_checks(self):
         with pytest.raises(ValueError):
@@ -429,10 +429,12 @@ class TestSingletonLineagePmf:
         assert refusals.index(first) == 20 and refusals[21] not in (None, first)
         assert refusal(lambda: ancestral._freq_rows(1, levels, m, theta)) == first
         # the levels before it come back as their one-level laws, padded with zeros
-        for n, law in zip(levels[:20].tolist(), ancestral._freq_rows(1, levels[:20], m, theta)):
+        table = ancestral._freq_rows(1, levels[:20], m, theta)
+        assert not table.flags.writeable
+        for n, row in zip(levels[:20].tolist(), table):
             one = r_freq_pmf(1, n, m, theta).probs
-            assert np.max(np.abs(law.probs[: len(one)] - one)) <= 1e-15
-            assert not law.probs[len(one) :].any()
+            assert np.max(np.abs(row[: len(one)] - one)) <= 1e-15
+            assert not row[len(one) :].any()
 
     def test_stacked_law_holds_a_few_blocks(self):
         # the sweep box's largest stack: 48 levels of 48 moments, a
@@ -452,6 +454,21 @@ class TestSingletonLineagePmf:
         finally:
             tracemalloc.stop()
         assert peak < 7 * 8 * numerics.BLOCK_TERMS
+
+    def test_each_level_is_summed_over_its_own_width(self, monkeypatch):
+        # 48 levels whose frequency-1 laws have widths 1..48: padded to the
+        # widest they would be a 48**3 = 110,592-term cube, where their own
+        # squares hold sum(w**2) = 38,024 terms.  A block is as wide as its
+        # widest level, so a little padding is allowed
+        params = ModelParams(0.5, 0.15)
+        assert len(np.flatnonzero(_ancestral_values(params, None))) == 48
+        terms = []
+        kernel = numerics.signed_log_sums
+        monkeypatch.setattr(
+            numerics, "signed_log_sums", lambda *a: (terms.append(np.size(a[0])), kernel(*a))[1]
+        )
+        singleton_lineage_pmf(146, params)
+        assert sum(terms) <= 1.25 * sum(w * w for w in range(1, 49))
 
     @pytest.mark.parametrize("m", [1, 6, 20, 30])
     def test_closed_route_matches_mixture(self, m):
