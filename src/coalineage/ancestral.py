@@ -265,7 +265,6 @@ def _min_reliable_t(m: int, params: ModelParams) -> float | None:
     return None
 
 
-@lru_cache(maxsize=128)
 def lineage_pmf(m: int, params: ModelParams) -> Pmf:
     """Law of the number of ancestral lines of an m-sample at time t.
 
@@ -347,6 +346,16 @@ def r_pmf(n: int, m: int, theta: float) -> Pmf:
     return Pmf.from_floats(
         np.exp(log_probs), 0, renormalize=True, context="re-observed type count"
     )
+
+
+def _reobserved_rows(levels: np.ndarray, m: int, theta: float) -> np.ndarray:
+    """The probs of r_pmf(n, m, theta) for every n of the increasing array
+    levels, as one read-only table, each row padded with zeros past its law."""
+    table = np.zeros((len(levels), min(int(levels[-1]), m) + 1))
+    for row, n in zip(table, levels.tolist()):
+        row[: min(n, m) + 1] = r_pmf(n, m, theta).probs
+    table.flags.writeable = False
+    return table
 
 
 def _freq_moments(l: int, levels: np.ndarray, m: int, theta: float) -> np.ndarray:
@@ -465,7 +474,7 @@ def singleton_lineage_pmf(m: int, params: ModelParams, method: str = "mixture") 
     units fall into the urn with n seed types, and a line is a singleton
     ancestor when its type is drawn exactly once.  The frequency-1 laws of
     every weighted level are one gated array (_freq_rows), each level summed
-    over its own width, mixed in one weighted column sum.  method="closed"
+    over its own width, mixed by Pmf.from_mixture.  method="closed"
     evaluates the direct alternating representation instead, an
     independent cross-check route that reads nothing from the mixture:
     binomial moments, then inclusion-exclusion.
@@ -481,7 +490,4 @@ def singleton_lineage_pmf(m: int, params: ModelParams, method: str = "mixture") 
     weights = _ancestral_values(params, None)
     levels = np.flatnonzero(weights)
     table = _freq_rows(1, levels, m, params.theta)
-    probs = np.zeros(m + 1)
-    # summed level by level in increasing n, with no BLAS call and its buffers
-    probs[: table.shape[1]] = (weights[levels, None] * table).sum(axis=0)
-    return Pmf.from_floats(probs, 0, context="singleton ancestor count")
+    return Pmf.from_mixture(weights[levels], table, 0, m + 1, "singleton ancestor count")

@@ -142,17 +142,16 @@ class Pmf:
         return cls._mass_checked(values, support_offset, renormalize, context)
 
     @classmethod
-    def from_mixture(cls, weights, component, support_offset, size, context) -> "Pmf":
-        """The law sum_n weights[n] component(n), with size entries from support_offset.
+    def from_mixture(cls, weights, table, support_offset, size, context) -> "Pmf":
+        """The law sum_r weights[r] table[r], with size entries from support_offset.
 
-        Levels of zero weight are skipped; the rest are added in increasing n, each into
-        the slice where its own support lies, and the total is checked by from_floats.
+        Row r of the (levels x entries) table is one level's zero-padded law from
+        support_offset.  The rows are added in order as one running sum, with no
+        BLAS call or pairwise reduction, even in one column, then padded to size
+        and checked by from_floats.
         """
         probs = np.zeros(size)
-        for n in np.flatnonzero(weights).tolist():
-            law = component(n)
-            lo = law.support_offset - support_offset
-            probs[lo : lo + len(law.probs)] += weights[n] * law.probs
+        probs[: table.shape[1]] = np.cumsum(weights[:, None] * table, axis=0)[-1]
         return cls.from_floats(probs, support_offset, context=context)
 
     @classmethod

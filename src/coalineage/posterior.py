@@ -11,16 +11,15 @@ mixture over the line-count posterior, whose weights are all positive
 (the production path), and the direct closed form, kept as a cross-check
 because its alternating sums cancel harder.  Both hit-count routes are
 escape moments, then one inclusion-exclusion (numerics.exact_count_sums).
-The mixture singleton predictive sums and gates one hit table of every
-weighted posterior level per query, as one array mixed in one column
-sum.  Closed singleton routes condition on their own kernel's marginal.
+Every mixture reads one levels x entries table, mixed by Pmf.from_mixture.
+Closed singleton routes condition on their own kernel's marginal.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -28,6 +27,7 @@ from .ancestral import (
     ModelParams,
     _ancestral_values,
     _freq_rows,
+    _reobserved_rows,
     _require_method,
     _singleton_closed_entries,
     lineage_pmf,
@@ -198,11 +198,10 @@ def n_posterior(m: int, y: int, params: ModelParams, mode: str = "total") -> Pmf
     _require_observed(m, y)
     values = _ancestral_values(params, None)
     levels = np.flatnonzero(values)
-    if mode == "total":
-        likelihood = [r_pmf(n, m, params.theta).prob(y) for n in levels.tolist()]
-    else:  # column y of the singleton law's frequency-1 table, zero past its width
-        table = _freq_rows(1, levels, m, params.theta)
-        likelihood = table[:, y] if y < table.shape[1] else 0.0
+    # one code path for both modes: column y of the level table, zero past its width
+    rows = _reobserved_rows if mode == "total" else partial(_freq_rows, 1)
+    table = rows(levels, m, params.theta)
+    likelihood = table[:, y] if y < table.shape[1] else 0.0
     weights = np.zeros(len(values))
     weights[levels] = values[levels] * likelihood
     event = f"the observed statistic {y} at t = {params.t:g} has probability"
@@ -217,11 +216,11 @@ def _point_mass(at: int) -> Pmf:
 def predictive_lineage_pmf(query: PredictiveQuery, method: str = "mixture") -> Pmf:
     """Law of the enlarged sample's surviving line count given y now.
 
-    The mixture route averages the enlarged type count law over the
-    line-count posterior; the closed route rewrites the conditional as a
-    ratio of the two unconditional line-count laws.  Both agree to
-    rounding; the mixture is the default because its weights are
-    positive.
+    The mixture route averages the enlarged type count laws of every
+    weighted level, as one table, over the line-count posterior; the
+    closed route rewrites the conditional as a ratio of the two
+    unconditional line-count laws.  Both agree to rounding; the mixture
+    is the default because its weights are positive.
     """
     _require_method(method)
     m, m_prime, y, params = query.m, query.m_prime, query.y, query.params
@@ -234,13 +233,11 @@ def predictive_lineage_pmf(query: PredictiveQuery, method: str = "mixture") -> P
         _conditioning_mass(lineage_pmf(m, params).prob(y), f"P[line count = {y}]")
         return _point_mass(m + m_prime)
     if method == "mixture":
-        return Pmf.from_mixture(
-            n_posterior(m, y, params, mode="total").probs,
-            lambda n: cond_r_pmf(n, m, m_prime, y, params.theta),
-            y,
-            m_prime + 1,
-            context="enlarged line count",
-        )
+        # level n's row is cond_r_pmf(n, m, m_prime, y, theta), whose support starts at y
+        weights = n_posterior(m, y, params, mode="total").probs
+        levels = np.flatnonzero(weights)
+        table = _reobserved_rows(levels - y, m_prime, params.theta + m + y)
+        return Pmf.from_mixture(weights[levels], table, y, m_prime + 1, "enlarged line count")
     base_prob = _conditioning_mass(lineage_pmf(m, params).prob(y), f"P[line count = {y}]")
     enlarged = lineage_pmf(m + m_prime, params)
     theta = params.theta
@@ -268,9 +265,8 @@ def predictive_singleton_pmf(query: PredictiveQuery, method: str = "mixture") ->
 
     Given y such lines in the m-sample, x counts the ones that stop being
     singletons because a new draw lands on them; support 0..min(y, m').
-    The mixture route gates one hit table of cond_r_freq_pmf(1, n, ...) over
-    every weighted posterior level n and adds its rows in increasing n with
-    no BLAS call: a running sum, which keeps that order even in one column.
+    The mixture route mixes one gated hit table of cond_r_freq_pmf(1, n, ...)
+    over every weighted posterior level n.
     The closed route evaluates the direct alternating representation of
     each escape moment, whose series runs to m + m': the extra-draw factor
     keeps the last m' difference orders alive past the marginal's cutoff at m.
@@ -286,8 +282,7 @@ def predictive_singleton_pmf(query: PredictiveQuery, method: str = "mixture") ->
         levels = np.flatnonzero(weights)
         sums, log_peaks = _hit_count_sums(_log_escape(theta + levels + m, m_prime, y, 2), m_prime)
         table = Pmf.from_signed_rows(sums, log_peaks, 0, "hit type count")
-        probs = np.cumsum(weights[levels, None] * table, axis=0)[-1]
-        return Pmf.from_floats(probs, 0, context="hit singleton count")
+        return Pmf.from_mixture(weights[levels], table, 0, table.shape[1], "hit singleton count")
     # row k, column n >= y: the chance that k given singleton lines escape all m' draws
     escape = _log_escape(theta + np.arange(y, m + m_prime + 1) + m, m_prime, y, 2)
     sums, log_peaks = _singleton_closed_entries(

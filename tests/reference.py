@@ -2,10 +2,13 @@
 
 Exact combinatorial counts, falling factorials and factorial moments give
 independent checks on the analytic laws.  The entry-by-entry enlarged
-type count is the reference for the shifted prior urn law, the
-level-by-level hit laws for the singleton predictive's one-pass hit
-table, the level-by-level frequency-1 laws for the singleton law's and
-the singleton posterior's one-pass table, the moment-by-moment closed
+type count is the reference for the shifted prior urn law.  The
+level-by-level mixture, one law per population level added in increasing
+n, is the reference for Pmf.from_mixture's running sum over a level
+table: of enlarged type count laws for the total predictive, of hit laws
+for the singleton predictive, and of frequency-1 laws for the singleton
+law.  The level-by-level frequency-1 laws are also the reference for the
+singleton posterior's one-pass table, the moment-by-moment closed
 singleton kernel for its stacked moments, and the padded
 inclusion-exclusion kernel for the one that sums each level only over its
 own width.  The one-row signed sum, the per-entry gate, the row-by-row
@@ -342,10 +345,23 @@ def r_freq_pmf_by_entry(l: int, n: int, m: int, theta: float) -> Pmf:
     return pmf_by_entry(entries, "frequency-level type count")
 
 
+def mixture_by_level(weights, component, support_offset: int, size: int, context: str) -> Pmf:
+    """pmf.Pmf.from_mixture level by level: sum_n weights[n] component(n), with size
+    entries from support_offset.  Levels of zero weight are skipped; the rest are added
+    in increasing n, each into the slice where its own support lies, and the total is
+    checked by from_floats."""
+    probs = np.zeros(size)
+    for n in np.flatnonzero(weights).tolist():
+        law = component(n)
+        lo = law.support_offset - support_offset
+        probs[lo : lo + len(law.probs)] += weights[n] * law.probs
+    return Pmf.from_floats(probs, support_offset, context=context)
+
+
 def singleton_lineage_by_level(m: int, params: ModelParams) -> Pmf:
     """The mixture ancestral.singleton_lineage_pmf with each level's frequency-1
     law built on its own by the one-level r_freq_pmf, added in increasing n."""
-    return Pmf.from_mixture(
+    return mixture_by_level(
         _ancestral_values(params, None),
         lambda n: r_freq_pmf(1, n, m, params.theta),
         0,
@@ -447,12 +463,26 @@ def predictive_singleton_by_level(query) -> Pmf:
     """The mixture posterior.predictive_singleton_pmf at m, m' >= 1, with each
     level's hit law built on its own by cond_r_freq_pmf_by_level, in increasing n."""
     m, m_prime, y, params = query.m, query.m_prime, query.y, query.params
-    return Pmf.from_mixture(
+    return mixture_by_level(
         posterior.n_posterior(m, y, params, mode="singleton").probs,
         lambda n: cond_r_freq_pmf_by_level(1, n, m, m_prime, y, params.theta),
         0,
         min(y, m_prime) + 1,
         context="hit singleton count",
+    )
+
+
+def predictive_lineage_by_level(query) -> Pmf:
+    """The mixture posterior.predictive_lineage_pmf at m, m' >= 1 and t > 0, with
+    each level's enlarged type count law built on its own by posterior.cond_r_pmf,
+    in increasing n."""
+    m, m_prime, y, params = query.m, query.m_prime, query.y, query.params
+    return mixture_by_level(
+        posterior.n_posterior(m, y, params, mode="total").probs,
+        lambda n: posterior.cond_r_pmf(n, m, m_prime, y, params.theta),
+        y,
+        m_prime + 1,
+        context="enlarged line count",
     )
 
 

@@ -40,6 +40,7 @@ from coalineage.pmf import Pmf
 from reference import (
     ancestral_values_by_row,
     lineage_entries_by_row,
+    mixture_by_level,
     pmf_by_entry,
     r_freq_pmf_by_entry,
     singleton_closed_entries_by_moment,
@@ -419,6 +420,35 @@ class TestSingletonLineagePmf:
                     (m, y, theta, t),
                 )
 
+    @pytest.mark.parametrize("m", [0, 1, 5, 20])
+    def test_law_is_the_level_by_level_mixture_bit_for_bit(self, m):
+        # the levels are added in increasing n even when the table is one
+        # column wide (m = 0), where a numpy column sum would go pairwise.
+        # Up to m = 5 the stacked rows are the one-level laws' bits, so the
+        # law is singleton_lineage_by_level's; at m = 20 a few rows differ
+        # in the last bit, and the law is the same rows mixed level by level
+        def bits(build):
+            try:
+                law = build()
+            except NumericalConditioningError as err:
+                return str(err)
+            return law.probs.tobytes(), repr(law.mass_defect), law.renormalized
+
+        def own_rows_by_level(params):
+            weights = _ancestral_values(params, None)
+            levels = np.flatnonzero(weights)
+            rows = dict(zip(levels.tolist(), ancestral._freq_rows(1, levels, m, params.theta)))
+            return mixture_by_level(
+                weights, lambda n: Pmf(0, rows[n], 0.0), 0, m + 1, "singleton ancestor count"
+            )
+
+        for theta, t in itertools.product(SINGLETON_GRID_THETA, (0.1, 0.15, 0.34, 1.0)):
+            params = ModelParams(theta, t)
+            got = bits(lambda: singleton_lineage_pmf(m, params))
+            assert got == bits(lambda: own_rows_by_level(params)), (m, theta, t)
+            if m <= 5:
+                assert got == bits(lambda: singleton_lineage_by_level(m, params)), (m, theta, t)
+
     def test_stacked_refusal_names_the_first_failing_level(self):
         # one-level laws at m = 146, theta = 0.5 refuse from n = 60 on, each
         # level naming its own entry; the stack raises level 60's refusal
@@ -723,7 +753,7 @@ class TestBlockKernels:
         assert sample == refusal(
             lambda: pmf_by_entry(lineage_entries_by_row(146, params), "sample line count")
         )
-        assert sample in refusal(lambda: lineage_pmf.__wrapped__(146, params))
+        assert sample in refusal(lambda: lineage_pmf(146, params))
         population = refusal(lambda: _ancestral_values.__wrapped__(params, None))
         assert population is not None
         assert population == refusal(
@@ -734,7 +764,7 @@ class TestBlockKernels:
         # the kernels pad with -inf and exponentiate refused peaks; none of
         # that may surface as a numpy RuntimeWarning.  The closed routes
         # run where they are affordable, m <= 20.
-        for cached in (lineage_pmf, _ancestral_values, posterior.n_posterior):
+        for cached in (_ancestral_values, posterior.n_posterior):
             cached.cache_clear()
         numerics._PASCAL.clear()
         numerics._LOG_FACTORIALS.clear()

@@ -153,7 +153,7 @@ class TestLogFactorialTable:
         laws = (
             lambda: r_pmf(300, 1000, 9.5),
             lambda: r_freq_pmf(1, 40, 1000, 9.5),
-            lambda: lineage_pmf.__wrapped__(1000, ModelParams(9.5, 0.34)),
+            lambda: lineage_pmf(1000, ModelParams(9.5, 0.34)),
         )
 
         def run(law):

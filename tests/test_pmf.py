@@ -23,11 +23,22 @@ def test_cdf_and_quantile_with_offset():
 
 
 def test_from_mixture_places_each_law_by_its_offset():
-    laws = {1: Pmf(2, np.array([0.5, 0.5]), 0.0), 3: Pmf(1, np.array([1.0]), 0.0)}
-    # level 2 has zero weight, so its law is never asked for
-    mixture = Pmf.from_mixture(np.array([0.0, 0.25, 0.0, 0.75]), laws.__getitem__, 1, 3, "test")
+    # two levels' laws from offset 1: one on {2, 3}, one on {1} padded with zeros
+    table = np.array([[0.0, 0.5, 0.5], [1.0, 0.0, 0.0]])
+    mixture = Pmf.from_mixture(np.array([0.25, 0.75]), table, 1, 3, "test")
     assert mixture.support_offset == 1
     np.testing.assert_array_equal(mixture.probs, [0.75, 0.125, 0.125])
+
+
+def test_from_mixture_adds_rows_in_order_even_in_one_column():
+    # numpy sums a lone column pairwise from eight rows up; the mixture must
+    # add level by level, so tiny later levels are lost against the first
+    weights = np.full(16, 2.0**-53)  # half an ulp of 1.0 each
+    weights[0] = 1.0
+    assert float(weights.sum()) == 1.0 + 7 * 2.0**-52  # the pairwise sum keeps them
+    mixture = Pmf.from_mixture(weights, np.ones((16, 1)), 0, 2, "test")
+    assert mixture.mass_defect == 0.0 and not mixture.renormalized
+    np.testing.assert_array_equal(mixture.probs, [1.0, 0.0])
 
 
 

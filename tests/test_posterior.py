@@ -37,6 +37,7 @@ from reference import (
     factorial_moment_r,
     factorial_moment_r_freq,
     log_escape_by_step,
+    predictive_lineage_by_level,
     predictive_singleton_by_level,
 )
 
@@ -318,23 +319,25 @@ class TestNPosterior:
     def test_built_once_per_observation(self, monkeypatch):
         # every point of a discovery curve conditions on the same posterior:
         # one likelihood per population level, whatever m' is asked; the
-        # singleton likelihoods are one stack of every level
+        # likelihoods of each mode are one stack of every level
         m, params = 30, ModelParams(2.5, 0.4)
         levels = len(np.flatnonzero(_ancestral_values(params, None)))
         calls = Counter()
-        r_pmf, freq_rows = posterior.r_pmf, posterior._freq_rows
+        reobserved_rows, freq_rows = posterior._reobserved_rows, posterior._freq_rows
 
-        def counted_r_pmf(*args):
+        def counted_reobserved_rows(rows, m, theta):
             # the likelihood passes theta itself; predictive rows shift it
-            calls["r_pmf"] += args[-1] == params.theta
-            return r_pmf(*args)
+            if theta == params.theta:
+                calls["reobserved stacks"] += 1
+                calls["reobserved levels"] += len(rows)
+            return reobserved_rows(rows, m, theta)
 
         def counted_freq_rows(l, rows, *args):
             calls["stacks"] += 1
             calls["stacked levels"] += len(rows)
             return freq_rows(l, rows, *args)
 
-        monkeypatch.setattr(posterior, "r_pmf", counted_r_pmf)
+        monkeypatch.setattr(posterior, "_reobserved_rows", counted_reobserved_rows)
         monkeypatch.setattr(posterior, "_freq_rows", counted_freq_rows)
         n_posterior.cache_clear()
         # the sample's modal line count, and one singleton line
@@ -344,7 +347,9 @@ class TestNPosterior:
             predictive_singleton_pmf(PredictiveQuery(m, m_prime, y_single, params))
         gt_new_lineage_prob(m, y_total, params)
         gt_singleton_prob(m, y_single, params)
-        assert calls == {"r_pmf": levels, "stacks": 1, "stacked levels": levels}
+        assert calls == {
+            "reobserved stacks": 1, "reobserved levels": levels, "stacks": 1, "stacked levels": levels
+        }
 
     def test_domain_checks(self):
         with pytest.raises(ValueError):
@@ -531,6 +536,21 @@ class TestHitTable:
             assert got == law_or_refusal(lambda: predictive_singleton_by_level(q)), q
             refused += isinstance(got[1], str)
         assert refused > 50
+
+    def test_total_mixture_matches_level_by_level_reference(self):
+        # the total predictive mixes one table of the enlarged type count laws;
+        # the reference adds each level's cond_r_pmf on its own, bit for bit
+        outcomes = Counter()
+        for m, m_prime, y, theta, t in itertools.product(
+            (8, 25, 146), (1, 4, 50, 200), (0, 1, 3, 6, 20), (0.5, 9.5, 20.0), (0.15, 0.34, 1.0)
+        ):
+            if y > m:
+                continue
+            q = PredictiveQuery(m, m_prime, y, ModelParams(theta, t))
+            got = law_or_refusal(lambda: predictive_lineage_pmf(q))
+            assert got == law_or_refusal(lambda: predictive_lineage_by_level(q)), q
+            outcomes[isinstance(got[1], str)] += 1
+        assert outcomes[False] > 200 and outcomes[True] > 50
 
     @pytest.mark.parametrize(
         "y, levels, message",
