@@ -15,8 +15,8 @@ width, in 32 KB blocks built and shifted in place, and moment_count_sums
 takes it over moments that are signed sums themselves (the closed
 singleton routes, whose moments are one stack of series).  Every table
 of log k! is read from one, log_factorials, kept for the process and
-grown on demand; log_binomial takes a coefficient with a short side from
-the exact integer and evaluates any other from three lgamma calls.  The
+grown on demand; no binomial coefficient has a helper here, as each
+caller builds its own from exact integers or from running products.  The
 lgamma(theta + k) tables are built per call, and a kernel that reads few
 entries of a long one evaluates only those.
 """
@@ -36,7 +36,6 @@ __all__ = [
     "log_factorials",
     "log_gamma_table",
     "log_rising_factorial",
-    "log_binomial",
     "signed_log_sums",
     "exact_count_sums",
     "moment_count_sums",
@@ -150,19 +149,6 @@ def log_rising_factorial(x: float, n: int) -> float:
     if x == 0.0:
         return -math.inf
     return math.lgamma(x + n) - math.lgamma(x)
-
-
-def log_binomial(n: int, k: int) -> float:
-    """log of the binomial coefficient C(n, k); -inf outside 0 <= k <= n."""
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
-    if k < 0 or k > n:
-        return -math.inf
-    if min(k, n - k) <= 64:  # exact: a difference of lgamma values near log n! loses digits
-        return math.log(math.comb(n, k))
-    # the log_factorials entries, evaluated directly so that one call at
-    # large n does not grow the kept table to n + 1
-    return math.lgamma(1.0 + n) - math.lgamma(1.0 + k) - math.lgamma(1.0 + (n - k))
 
 
 def signed_log_sums(

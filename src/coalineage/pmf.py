@@ -104,9 +104,10 @@ class Pmf:
     def from_signed_rows(cls, sums, log_peaks, support_offset: int, context: str) -> np.ndarray:
         """The probs of from_signed_sums of each row of (rows x entries) stacks, as one table.
 
-        Every row is gated, mass-checked and renormalized as
-        from_signed_sums does it, in one pass and with the same bits, and
-        the first failing row raises its own refusal.  The table is read-only.
+        Every row is gated, mass-checked and renormalized as from_signed_sums
+        does it, in one pass; the first failing row raises its own refusal.
+        Rows are totalled pairwise over the table's width, so a zero-padded
+        row may differ from from_signed_sums in the last bit.  Read-only.
         """
         try:
             values = reliable_values(sums, log_peaks, str, "")

@@ -8,11 +8,12 @@ probabilities.  The enlarged type count is the prior urn law shifted by y:
 the m' extra draws meet the n - y unseen lines like a fresh urn with
 innovation mass theta + m + y.  Each predictive law has two routes: a
 mixture over the line-count posterior, whose weights are all positive
-(the production path), and the direct closed form, kept as a cross-check
-because its alternating sums cancel harder.  Both hit-count routes are
-escape moments, then one inclusion-exclusion (numerics.exact_count_sums).
-Every mixture reads one levels x entries table, mixed by Pmf.from_mixture.
-Closed singleton routes condition on their own kernel's marginal.
+(the production path), and the direct closed form, kept as a cross-check.
+The closed total route has no alternating sum of its own: it reweights
+the enlarged sample's line-count law by one running product.  Both
+hit-count routes are escape moments, then one inclusion-exclusion
+(numerics.exact_count_sums); closed singleton routes condition on their
+own kernel's marginal.  Every mixture reads one table, via Pmf.from_mixture.
 """
 
 from __future__ import annotations
@@ -38,8 +39,6 @@ from .numerics import (
     BLOCK_TERMS,
     _require_theta,
     exact_count_sums,
-    log_binomial,
-    log_rising_factorial,
     moment_count_sums,
     reliable_values,
 )
@@ -69,6 +68,11 @@ def _conditioning_mass(p: float, event: str) -> float:
             f"conditioning event has negligible mass: {event} ~ {p:.2e}"
         )
     return p
+
+
+def _line_count_mass(m: int, y: int, params: ModelParams) -> float:
+    """P[line count = y] of an m-sample, refused below MARGINAL_FLOOR."""
+    return _conditioning_mass(lineage_pmf(m, params).prob(y), f"P[line count = {y}]")
 
 
 def _require_observed(m: int, y: int) -> None:
@@ -217,10 +221,10 @@ def predictive_lineage_pmf(query: PredictiveQuery, method: str = "mixture") -> P
     """Law of the enlarged sample's surviving line count given y now.
 
     The mixture route averages the enlarged type count laws of every
-    weighted level, as one table, over the line-count posterior; the
-    closed route rewrites the conditional as a ratio of the two
-    unconditional line-count laws.  Both agree to rounding; the mixture
-    is the default because its weights are positive.
+    weighted level, as one table, over the line-count posterior.  The
+    closed route weights the enlarged sample's law P[x] by P[y | x] / P[y],
+    with P[y | x] one running product of positive ratios.  Both agree to
+    rounding; the mixture is the default because its weights are positive.
     """
     _require_method(method)
     m, m_prime, y, params = query.m, query.m_prime, query.y, query.params
@@ -230,7 +234,7 @@ def predictive_lineage_pmf(query: PredictiveQuery, method: str = "mixture") -> P
         return _point_mass(y)
     if params.t == 0.0:
         # every line is still alive at time zero
-        _conditioning_mass(lineage_pmf(m, params).prob(y), f"P[line count = {y}]")
+        _line_count_mass(m, y, params)
         return _point_mass(m + m_prime)
     if method == "mixture":
         # level n's row is cond_r_pmf(n, m, m_prime, y, theta), whose support starts at y
@@ -238,26 +242,18 @@ def predictive_lineage_pmf(query: PredictiveQuery, method: str = "mixture") -> P
         levels = np.flatnonzero(weights)
         table = _reobserved_rows(levels - y, m_prime, params.theta + m + y)
         return Pmf.from_mixture(weights[levels], table, y, m_prime + 1, "enlarged line count")
-    base_prob = _conditioning_mass(lineage_pmf(m, params).prob(y), f"P[line count = {y}]")
-    enlarged = lineage_pmf(m + m_prime, params)
-    theta = params.theta
-    log_common = (
-        log_binomial(m, y)
-        + log_rising_factorial(m + m_prime + theta, y)
-        - log_rising_factorial(theta + m, y)
-        - math.log(base_prob)
-    )
-    probs = np.empty(m_prime + 1)
-    for x in range(y, y + m_prime + 1):
-        log_ratio = (
-            log_common
-            + log_binomial(m_prime, x - y)
-            + log_rising_factorial(theta + y, x - y)
-            - log_binomial(m + m_prime, x)
-            - log_rising_factorial(theta + m + y, x - y)
-        )
-        probs[x - y] = math.exp(log_ratio) * enlarged.prob(x)
-    return Pmf.from_floats(probs, support_offset=y, context="enlarged line count")
+    base_prob = _line_count_mass(m, y, params)
+    enlarged = lineage_pmf(m + m_prime, params).probs[y : y + m_prime + 1]
+    theta, j, x = float(params.theta), np.arange(y), np.arange(y, y + m_prime)
+    # P[y lines among the first m | x among all m + m'], x = y..y + m', as one running
+    # product: y steps reach x = y, then one step per x -> x + 1 (k = x - y new lines)
+    steps = np.concatenate((
+        (m - j) * (theta + m + m_prime + j) / ((m + m_prime - j) * (theta + m + j)),
+        (m_prime - (x - y)) * (x + 1) * (theta + x)
+        / ((x - y + 1) * (m + m_prime - x) * (theta + m + x)),
+    ))
+    log_factor = np.concatenate(([0.0], np.cumsum(np.log(steps))))[y:] - math.log(base_prob)
+    return Pmf.from_floats(np.exp(log_factor) * enlarged, y, context="enlarged line count")
 
 
 def predictive_singleton_pmf(query: PredictiveQuery, method: str = "mixture") -> Pmf:
@@ -307,7 +303,7 @@ def gt_new_lineage_prob(m: int, y: int, params: ModelParams) -> float:
     predictive law puts on y + 1.
     """
     _require_observed(m, y)
-    p_y = _conditioning_mass(lineage_pmf(m, params).prob(y), f"P[line count = {y}]")
+    p_y = _line_count_mass(m, y, params)
     p_up = lineage_pmf(m + 1, params).prob(y + 1)
     theta = params.theta
     return (y + 1) * (theta + y) * p_up / ((m + 1) * (theta + m) * p_y)

@@ -45,7 +45,6 @@ from coalineage.numerics import (
     LOG_NOISE_SHIFT,
     SignedLogValue,
     exact_count_sums,
-    log_binomial,
     log_factorials,
     log_gamma_table,
     log_rising_factorial,
@@ -58,6 +57,11 @@ from coalineage.simulate import ReplicateSummary
 
 
 MAX_STIRLING_N = 30
+
+
+def log_binomial(n: int, k: int) -> float:
+    """log C(n, k), 0 <= k <= n, from the exact integer."""
+    return math.log(math.comb(n, k))
 
 
 @lru_cache(maxsize=None)

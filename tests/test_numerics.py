@@ -1,7 +1,6 @@
+import importlib
 import math
-import os
-import subprocess
-import sys
+import pkgutil
 import warnings
 from fractions import Fraction
 
@@ -10,13 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import coalineage
 from coalineage.ancestral import ModelParams, lineage_pmf, r_freq_pmf, r_pmf
 from coalineage.errors import NumericalConditioningError
 from coalineage import numerics
 from coalineage.numerics import (
     SignedLogValue,
     exact_count_sums,
-    log_binomial,
     log_factorials,
     log_gamma_table,
     log_rising_factorial,
@@ -87,47 +86,6 @@ class TestLogFactorials:
         got = log_falling_factorial(2.5, 4)
         assert got.sign == -1
         np.testing.assert_allclose(got.value, 2.5 * 1.5 * 0.5 * -0.5, rtol=1e-13)
-
-    def test_binomial_matches_comb(self):
-        for n in range(0, 40):
-            for k in range(0, n + 1):
-                np.testing.assert_allclose(
-                    log_binomial(n, k), math.log(math.comb(n, k)), rtol=1e-12
-                )
-        assert log_binomial(5, 6) == -math.inf
-        assert log_binomial(5, -1) == -math.inf
-
-    @pytest.mark.parametrize("n", [10**6, 10**7])
-    def test_binomial_keeps_its_digits_at_large_n(self, n):
-        # a difference of lgamma values near log n! ~ 1e7 carries ~1e-9 of
-        # rounding; a coefficient with a short side is taken from the exact integer
-        for k in (1, 3, 10, n - 3):
-            assert abs(log_binomial(n, k) - math.log(math.comb(n, k))) <= 1e-12, k
-
-    def test_binomial_past_the_table_leaves_it_alone(self):
-        # a fresh interpreter starts with an empty log k! table; a lone call
-        # at large n reads lgamma for its three entries instead of growing
-        # the table to n + 1, and gives the table's own values.  lgamma(1e6 + 1)
-        # is near 1.3e7, so the difference carries ~1e-9 of absolute rounding
-        code = """
-import math, time
-from coalineage import numerics
-start = time.perf_counter()
-value = numerics.log_binomial(10**6, 3)
-elapsed = time.perf_counter() - start
-assert numerics._LOG_FACTORIALS == [], len(numerics._LOG_FACTORIALS[0])
-assert elapsed < 0.05, elapsed
-assert math.isclose(value, math.log(math.comb(10**6, 3)), rel_tol=1e-10), value
-past = [numerics.log_binomial(5000, k) for k in (0, 3, 2500, 4999)]
-numerics.log_factorials(5001)
-assert [numerics.log_binomial(5000, k) for k in (0, 3, 2500, 4999)] == past
-"""
-        src = os.path.join(os.path.dirname(numerics.__file__), os.pardir)
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-        proc = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
-        )
-        assert proc.returncode == 0, proc.stderr
 
     def test_gamma_table_at_indices_matches_full_table(self):
         for base in (1.0, 0.79, 9.5):
@@ -473,3 +431,17 @@ class TestStirling:
             stirling2(5, 6)
         with pytest.raises(ValueError):
             signless_stirling1(-1, 0)
+
+
+def test_every_exported_helper_has_a_package_caller():
+    # the package re-exports nothing from numerics, so a name in its __all__
+    # that no sibling module imports is a helper only tests call; such a
+    # helper belongs in tests/reference.py
+    imported = set()
+    for info in pkgutil.iter_modules(coalineage.__path__):
+        if info.name != "numerics":
+            module = vars(importlib.import_module(f"coalineage.{info.name}"))
+            imported |= {
+                name for name in numerics.__all__ if module.get(name) is getattr(numerics, name)
+            }
+    assert sorted(set(numerics.__all__) - imported) == []

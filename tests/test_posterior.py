@@ -4,6 +4,7 @@ import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -399,6 +400,7 @@ class TestPredictiveLineage:
         for (m, m_prime, y, theta, t) in [
             (4, 3, 2, 1.0, 0.5), (6, 2, 1, 0.5, 0.34), (5, 5, 4, 9.5, 0.34),
             (8, 4, 3, 2.0, 1.0), (3, 6, 0, 1.0, 0.8),
+            (146, 50, 2, 9.48, 0.34), (146, 200, 3, 9.48, 1.0), (500, 50, 5, 20.0, 0.34),
         ]:
             q = PredictiveQuery(m=m, m_prime=m_prime, y=y, params=ModelParams(theta, t))
             worst = max(
@@ -408,6 +410,31 @@ class TestPredictiveLineage:
                 ),
             )
         assert worst < 1e-10
+
+    @pytest.mark.parametrize(
+        "m, m_prime, y, theta, t",
+        [(146, 50, 3, 9.5, 0.15), (146, 200, 2, 9.5, 0.34), (500, 200, 10, 20.0, 0.15),
+         (20, 200, 5, 3.0, 0.34)],
+    )
+    def test_closed_route_is_the_bayes_ratio_to_rounding(self, m, m_prime, y, theta, t):
+        # the closed route weights the enlarged sample's law by P[y | x] / P[y]; every
+        # entry is within 1e-15 of the same ratio taken in 40 digits over the same
+        # float sample law and renormalized, which cancels P[y]
+        params = ModelParams(theta, t)
+        got = predictive_lineage_pmf(PredictiveQuery(m, m_prime, y, params), method="closed")
+        enlarged = lineage_pmf(m + m_prime, params).probs
+        with mpmath.workdps(40):
+            th, comb, rf = mpmath.mpf(theta), mpmath.binomial, mpmath.rf
+            weighted = [
+                comb(m, y) * comb(m_prime, x - y) * rf(th + y, x - y) * rf(th + m + m_prime, y)
+                / (comb(m + m_prime, x) * rf(th + m, y) * rf(th + m + y, x - y))
+                * mpmath.mpf(float(enlarged[x]))
+                for x in range(y, y + m_prime + 1)
+            ]
+            total = mpmath.fsum(weighted)
+            reference = np.array([float(w / total) for w in weighted])
+        assert got.support_offset == y
+        assert np.max(np.abs(got.probs - reference)) <= 1e-15
 
     def test_support_and_mass(self):
         q = PredictiveQuery(m=7, m_prime=4, y=3, params=ModelParams(0.5, 0.4))

@@ -15,6 +15,7 @@ from scipy.stats import chi2_contingency, chisquare
 from coalineage import simulate
 from coalineage.ancestral import ModelParams, lineage_pmf, singleton_lineage_pmf
 from coalineage.ewens import AllelicPartition
+from coalineage.posterior import PredictiveQuery, predictive_lineage_pmf, predictive_singleton_pmf
 from coalineage.simulate import (
     ReplicateSummary,
     default_threads,
@@ -64,6 +65,45 @@ def marked_death_replicate(m, theta, t_horizon, rng):
             i, j = sorted(rng.choice(n, size=2, replace=False))
             freqs[i] += freqs.pop(j)
     return len(freqs), sum(1 for f in freqs if f == 1)
+
+
+def two_block_replicates(m, m_prime, theta, t_horizon, reps, rng):
+    """The labelled coalescent with killing for m + m' lines, reps replicates at once.
+
+    Line i carries its descendant counts in the first m individuals and in
+    the last m'.  Coalescence adds the pairs, mutation removes a line, and
+    every event takes one line away, so m + m' lockstep events finish every
+    replicate.  The live lines of a replicate are kept in its first n slots.
+    Returns the (reps x lines) first-block and second-block counts and n.
+    """
+    size = m + m_prime
+    first = np.zeros((reps, size), dtype=np.int32)
+    second = np.zeros((reps, size), dtype=np.int32)
+    first[:, :m], second[:, m:] = 1, 1
+    n, clock = np.full(reps, size), np.zeros(reps)
+    running = np.ones(reps, dtype=bool)
+    for _ in range(size):
+        live = np.flatnonzero(running)
+        k = n[live]
+        clock[live] += rng.exponential(2.0 / (k * (k - 1 + theta)))
+        running[live] = clock[live] <= t_horizon
+        live = live[running[live]]
+        k = n[live]
+        kill = rng.random(len(live)) * (k - 1 + theta) < theta
+        i = rng.integers(k)
+        j = rng.integers(np.maximum(k - 1, 1))  # a line other than i, read by merges only
+        j += j >= i
+        # a merge adds line j into line i; then the removed slot (i for a
+        # kill, j for a merge) takes the last live line
+        merge, into, out = live[~kill], i[~kill], j[~kill]
+        first[merge, into] += first[merge, out]
+        second[merge, into] += second[merge, out]
+        gone = np.where(kill, i, j)
+        first[live, gone] = first[live, k - 1]
+        second[live, gone] = second[live, k - 1]
+        n[live] -= 1
+        running &= n > 0
+    return first, second, n
 
 
 def pooled_chisquare(observed_counts, expected_probs, reps):
@@ -261,6 +301,44 @@ class TestMarkedDeathConsistency:
         )
         assert p_count > 1e-3
         assert p_single > 1e-3
+
+
+class TestPredictiveSimulation:
+    @pytest.mark.parametrize("m, m_prime, theta, t, seed", [
+        (6, 4, 1.3, 0.4, 2024), (8, 3, 3.0, 0.25, 2025),
+    ])
+    def test_predictive_laws_match_the_two_block_coalescent(self, m, m_prime, theta, t, seed):
+        # y counts the lines with a first-block descendant (total mode) or with
+        # exactly one (singleton mode); x counts every line, or those singleton
+        # lines with a second-block descendant.  Given y, the law of x is the
+        # posterior predictive of an m' enlargement
+        reps, params = 100_000, ModelParams(theta=theta, t=t)
+        first, second, n = two_block_replicates(
+            m, m_prime, theta, t, reps, np.random.default_rng(seed)
+        )
+        alive = np.arange(m + m_prime) < n[:, None]
+        single = (first == 1) & alive
+        modes = [
+            (predictive_lineage_pmf, ((first > 0) & alive).sum(axis=1), n),
+            (predictive_singleton_pmf, single.sum(axis=1), (single & (second > 0)).sum(axis=1)),
+        ]
+        tested = 0
+        for law_of, ys, xs in modes:
+            for y in range(m + 1):
+                draws = xs[ys == y]
+                if len(draws) < 2000:
+                    continue
+                law = law_of(PredictiveQuery(m, m_prime, y, params))
+                assert draws.min() >= law.support_offset, y
+                counts = np.bincount(draws - law.support_offset, minlength=len(law.probs))
+                assert len(counts) == len(law.probs), y
+                if np.count_nonzero(law.probs) == 1:
+                    assert counts[np.flatnonzero(law.probs)[0]] == len(draws), y
+                    continue
+                pvalue = pooled_chisquare(counts, law.probs, len(draws))
+                assert pvalue > 1e-3, (law_of.__name__, y)
+                tested += 1
+        assert tested >= 8
 
 
 class TestSimulateDeathProcess:
