@@ -25,9 +25,9 @@ import numpy as np
 
 from .errors import NumericalConditioningError
 from .numerics import (
-    BLOCK_TERMS,
     SignedLogValue,
     _require_theta,
+    blocks,
     exact_count_sums,
     log_factorials,
     log_gamma_table,
@@ -135,8 +135,8 @@ def _line_count_entries(
     Entry x is 1{x=0} plus the sum over i = max(x,1)..I of
     (-1)^(i+x) (2i-1+theta) e^(-t i(i-1+theta)/2) C(i,x) (x+theta)_(i-1) w_i,
     where log_w[i] = log w_i for i = 0..I.  Rows x <= I form one (x, i)
-    block padded with -inf below i = x, summed in chunks of at most
-    BLOCK_TERMS floats; column i = 0 holds the 1{x=0} term.  Rows past I
+    block padded with -inf below i = x, cut into runs of rows by
+    numerics.blocks; column i = 0 holds the 1{x=0} term.  Rows past I
     hold only terms below the tail bound of _last_index: no terms are
     built for them and they come back as exact zeros.
     """
@@ -148,12 +148,10 @@ def _line_count_entries(
     # the row-independent factors, with the i! of C(i,x) folded in
     base = np.full(top + 1, -math.inf)
     base[1:] = _log_abs_rho(i[1:], params) + log_w[1:] + log_fact[1:]
-    sums = np.zeros(len(rows))
-    log_peaks = np.full(len(rows), -math.inf)
+    sums, log_peaks = np.zeros(len(rows)), np.full(len(rows), -math.inf)
     xs = np.arange(rows.start, min(rows.stop, top + 1))
-    chunk = max(1, BLOCK_TERMS // (top + 1))
-    for lo in range(0, len(xs), chunk):
-        x = xs[lo : lo + chunk, None]
+    for run in blocks(np.full(len(xs), top + 1)):
+        x = xs[run, None]
         gap = i - x
         log_terms = np.where(
             gap >= 0,
@@ -162,7 +160,7 @@ def _line_count_entries(
         )
         log_terms[:, 0] = np.where(x[:, 0] == 0, 0.0, -math.inf)
         signs = np.where((i + x) % 2 == 0, 1.0, -1.0)
-        sums[lo : lo + len(x)], log_peaks[lo : lo + len(x)] = signed_log_sums(log_terms, signs)
+        sums[run], log_peaks[run] = signed_log_sums(log_terms, signs)
     return sums, log_peaks
 
 
@@ -426,10 +424,9 @@ def _singleton_closed_entries(
     lower-degree polynomials; a route whose extra factor keeps more
     difference orders alive passes a larger i_hi.  extra_log must be
     finite at every n >= lo.  Valid for every theta > 0.  The moments
-    j >= 1 are one -inf-padded stack of (moment x (i, n)-pair) terms,
-    summed in blocks of whole moments of at most BLOCK_TERMS terms (one
-    moment if longer), each term's factors added in the order of a
-    one-moment sum, so every moment has the bits it has on its own.
+    j >= 1 are one -inf-padded stack of (moment x (i, n)-pair) terms, cut
+    into runs of whole moments by numerics.blocks, each term's factors added
+    in the order of a one-moment sum, so a moment's bits are its own.
     """
     log_fact = log_factorials(i_hi + 1)
     log_gamma = log_gamma_table(params.theta, 2 * i_hi + 1)
@@ -442,12 +439,9 @@ def _singleton_closed_entries(
     sizes = (i_hi + 1 - np.arange(j_lo, m + 1)) * (i_hi + 2 - np.arange(j_lo, m + 1)) // 2
     # moment j in column j; columns 1..lo-1 are never read
     sums, log_peaks = np.ones((len(extra_log), m + 1)), np.array(extra_log[:, : m + 1])
-    first = 0
-    while first < len(sizes):
-        fits = np.cumsum(sizes[first:]) * len(extra_log) <= BLOCK_TERMS
-        stop = first + max(1, np.count_nonzero(fits))
-        j = np.arange(j_lo + first, j_lo + stop)[:, None]
-        a, b = tri_a[: sizes[first]], tri_b[: sizes[first]]
+    for run in blocks(sizes * len(extra_log)):
+        j = np.arange(j_lo + run.start, j_lo + run.stop)[:, None]
+        a, b = tri_a[: sizes[run.start]], tri_b[: sizes[run.start]]
         # in place and in one-moment order; padded pairs read clipped indices and are dropped
         terms = np.take(log_rho, a + (j - 1), mode="clip")
         terms -= log_fact[b]
@@ -459,10 +453,9 @@ def _singleton_closed_entries(
         terms += log_fact[m]
         terms -= log_fact[j]
         terms -= log_fact[m - j]
-        terms[np.arange(len(a)) >= sizes[first:stop, None]] = -math.inf
+        terms[np.arange(len(a)) >= sizes[run, None]] = -math.inf
         terms = terms + np.take(extra_log, b + j, axis=1, mode="clip")
         sums[:, j[:, 0]], log_peaks[:, j[:, 0]] = signed_log_sums(terms, signs[: len(a)])
-        first = stop
     return moment_count_sums(sums, log_peaks, lo)
 
 

@@ -8,17 +8,17 @@ with one exact math.fsum and returns two arrays: the scaled sums, whose
 magnitudes are the cancellation ratios, and the log peaks.  reliable_values
 turns those arrays into numbers only where the surviving digits are more
 than rounding noise; otherwise callers see a NumericalConditioningError
-naming the first failing entry.  exact_count_sums is the one
-inclusion-exclusion path: every "exactly z of N events" law goes through
-it, one row or a stack of levels at a time, each level only over its own
-width, in 32 KB blocks built and shifted in place, and moment_count_sums
-takes it over moments that are signed sums themselves (the closed
-singleton routes, whose moments are one stack of series).  Every table
-of log k! is read from one, log_factorials, kept for the process and
-grown on demand; no binomial coefficient has a helper here, as each
-caller builds its own from exact integers or from running products.  The
-lgamma(theta + k) tables are built per call, and a kernel that reads few
-entries of a long one evaluates only those.
+naming the first failing entry.  Every kernel cuts its work into calls of
+at most BLOCK_TERMS floats by one rule, blocks.  exact_count_sums is the
+one inclusion-exclusion path: every "exactly z of N events" law goes
+through it, one row or a stack of levels at a time, each level only over
+its own width, and moment_count_sums takes it over moments that are signed
+sums themselves (the closed singleton routes, whose moments are one stack
+of series).  Every table of log k! is read from one, log_factorials, kept
+for the process and grown on demand; no binomial coefficient has a helper
+here, as each caller builds its own from exact integers or from running
+products.  The lgamma(theta + k) tables are built per call, and a kernel
+that reads few entries of a long one evaluates only those.
 """
 
 from __future__ import annotations
@@ -37,6 +37,7 @@ __all__ = [
     "log_gamma_table",
     "log_rising_factorial",
     "signed_log_sums",
+    "blocks",
     "exact_count_sums",
     "moment_count_sums",
     "reliable_values",
@@ -187,10 +188,21 @@ def signed_log_sums(
 # its top-left corner, and a larger one serves its own call only
 _PASCAL: list = []
 PASCAL_KEEP = 256
-# floats in one signed_log_sums block of exact_count_sums (32 KB, so a stack's
-# transients stay near one level's), and terms in one block of the closed
-# singleton moments; a row longer than this is a block of its own
+# floats in one signed_log_sums call of any kernel (32 KB, so a stack's
+# transients stay near one block's), under the one rule of blocks
 BLOCK_TERMS = 1 << 12
+
+
+def blocks(sizes) -> list[slice]:
+    """Runs of consecutive items, each as many as fit in BLOCK_TERMS floats
+    when every item is padded to the run's first (one item if that alone is
+    larger; size 0 counts as 1): the rule by which every kernel cuts its work."""
+    runs, a = [], 0
+    while a < len(sizes):
+        b = min(len(sizes), a + (BLOCK_TERMS // max(1, int(sizes[a])) or 1))
+        runs.append(slice(a, b))
+        a = b
+    return runs
 
 
 def exact_count_sums(log_moments: np.ndarray, lo: int) -> tuple[np.ndarray, np.ndarray]:
@@ -206,10 +218,9 @@ def exact_count_sums(log_moments: np.ndarray, lo: int) -> tuple[np.ndarray, np.n
     stacked the same way.  A level's width runs from lo to its last moment
     that is not -inf; its entries past it are exact zeros, (0.0, -inf), and
     no term past it is built.  Widest level first, the (level, z, k) terms
-    go to signed_log_sums in blocks of whole levels, or of rows z of one
-    level, of at most BLOCK_TERMS floats (one row if longer), each block as
-    wide as its first level.  A term past a level's width is an exact zero,
-    so an entry has the same bits in any stack, and one row is a stack.
+    are cut by blocks into runs of whole levels, and a level wider than a
+    block into runs of rows z.  A term past a level's width is an exact
+    zero, so an entry has the same bits in any stack, and one row is a stack.
     """
     top = log_moments.shape[-1]
     block = _PASCAL[0] if _PASCAL else None
@@ -228,19 +239,18 @@ def exact_count_sums(log_moments: np.ndarray, lo: int) -> tuple[np.ndarray, np.n
     log_moments = log_moments[..., k].reshape(math.prod(lead), width)
     widths = np.where(log_moments != -math.inf, np.arange(1, width + 1), 0)
     widths = widths.max(axis=1, initial=0).tolist()
-    order = sorted(range(len(widths)), key=widths.__getitem__, reverse=True)
-    # each block's results go straight to their place; a level of width 0 stays zeros
+    # widest first; a level of width 0 is left out, and stays zeros
+    levels = filter(widths.__getitem__, range(len(widths)))
+    order = sorted(levels, key=widths.__getitem__, reverse=True)
     sums, log_peaks = np.zeros((len(widths), width)), np.full((len(widths), width), -math.inf)
-    a = 0
-    while a < len(order) and (span := widths[order[a]]):
-        z_step = min(span, BLOCK_TERMS // span) or 1
-        rows = order[a : a + (BLOCK_TERMS // (z_step * span) or 1)]
+    for run in blocks([widths[row] ** 2 for row in order]):
+        rows = order[run]
+        span = widths[rows[0]]
         weighted = (log_moments[rows, :span] + log_fact[:span])[:, None, :]
-        for z in [slice(c, min(c + z_step, span)) for c in range(0, span, z_step)]:
+        for z in blocks(np.full(span, len(rows) * span)):
             log_terms = weighted - log_fact[z, None]
             log_terms -= gap_log_fact[z, :span]  # in place: one array until it is shifted
             sums[rows, z], log_peaks[rows, z] = signed_log_sums(log_terms, signs[z, :span])
-        a += len(rows)
     return sums.reshape(*lead, width), log_peaks.reshape(*lead, width)
 
 

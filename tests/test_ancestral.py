@@ -600,9 +600,10 @@ class TestClosedMomentStack:
             kinds = {type(r) for key, r in stacked.items() if key[-1] == route}
             assert tuple in kinds and len(kinds) == 2, route  # some refuse, some return
 
-    def test_closed_law_sums_every_moment_in_one_call(self, monkeypatch):
-        # at m = 20 the 20 moments hold 1,540 terms: one block, where the
-        # moment loop makes 20 calls
+    def test_closed_law_sums_its_moments_in_two_blocks(self, monkeypatch):
+        # at m = 20 the 20 moments, each padded to the first's 210 terms, are
+        # one block of 19 moments and one of the last, where the moment loop
+        # makes 20 calls
         calls, rho_calls = [], []
         kernel, log_abs_rho = ancestral.signed_log_sums, ancestral._log_abs_rho
         monkeypatch.setattr(
@@ -612,7 +613,9 @@ class TestClosedMomentStack:
             ancestral, "_log_abs_rho", lambda *a: (rho_calls.append(a), log_abs_rho(*a))[1]
         )
         singleton_lineage_pmf(20, ModelParams(3.0, 0.4), method="closed")
-        assert len(calls) == 1 and len(rho_calls) == 1
+        assert [np.size(log_terms) for log_terms, _ in calls] == [19 * 210, 1]
+        assert max(np.size(log_terms) for log_terms, _ in calls) <= numerics.BLOCK_TERMS
+        assert len(rho_calls) == 1
 
     def test_log_rho_is_taken_once_per_kernel_call(self, monkeypatch):
         kernel_calls, rho_calls = [], []
@@ -632,15 +635,16 @@ class TestClosedMomentStack:
                 outcome(compute)
         assert len(kernel_calls) == 9 and len(rho_calls) == len(kernel_calls)
 
-    def test_stacked_moments_hold_a_few_blocks(self):
-        # 60 moments of up to 1,830 terms each: summed as one block they would
-        # take 60 x 1,830 floats, about 880 KB; in blocks of whole moments the
-        # transients stay within a few blocks
+    @pytest.mark.parametrize("m", [20, 30, 40, 50, 60])
+    def test_stacked_moments_hold_a_few_blocks(self, m):
+        # at m = 60, 60 moments of up to 1,830 terms each: summed as one block
+        # they would take 60 x 1,830 floats, about 880 KB; in blocks of whole
+        # moments the transients stay within a few blocks at every m
         params = ModelParams(3.0, 0.4)
-        singleton_lineage_pmf(60, params, method="closed")  # the kept tables are not counted
+        singleton_lineage_pmf(m, params, method="closed")  # the kept tables are not counted
         tracemalloc.start()
         try:
-            singleton_lineage_pmf(60, params, method="closed")
+            singleton_lineage_pmf(m, params, method="closed")
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

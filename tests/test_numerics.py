@@ -3,6 +3,7 @@ import math
 import pkgutil
 import warnings
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 import pytest
@@ -10,9 +11,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import coalineage
-from coalineage.ancestral import ModelParams, lineage_pmf, r_freq_pmf, r_pmf
+from coalineage import ancestral, numerics, posterior
+from coalineage.ancestral import (
+    ModelParams,
+    ancestral_pmf,
+    lineage_pmf,
+    r_freq_pmf,
+    r_pmf,
+    singleton_lineage_pmf,
+)
 from coalineage.errors import NumericalConditioningError
-from coalineage import numerics
 from coalineage.numerics import (
     SignedLogValue,
     exact_count_sums,
@@ -22,6 +30,7 @@ from coalineage.numerics import (
     reliable_values,
     signed_log_sums,
 )
+from coalineage.posterior import PredictiveQuery, predictive_singleton_pmf
 from reference import (
     exact_count_sums_padded,
     log_falling_factorial,
@@ -325,6 +334,84 @@ class TestExactCountSums:
         (block,) = numerics._PASCAL
         assert len(block[0]) == 41
         assert sum(part.nbytes for part in block) < 2**20
+
+
+# laws through every kernel that blocks cuts: the line-count series, both
+# singleton routes and both singleton predictives; at y = 4 the closed
+# predictive's first moment, over its five rows, alone exceeds a block
+BLOCK_PARAMS = ModelParams(3.0, 0.4)
+BLOCK_LAWS = {
+    "sample, m = 146": lambda: lineage_pmf(146, BLOCK_PARAMS),
+    "sample, m = 1000": lambda: lineage_pmf(1000, BLOCK_PARAMS),
+    "population": lambda: ancestral_pmf(None, BLOCK_PARAMS),
+    **{
+        f"singleton {method}, m = {m}": partial(singleton_lineage_pmf, m, BLOCK_PARAMS, method)
+        for method in ("mixture", "closed")
+        for m in (20, 40, 60)
+    },
+    **{
+        f"singleton predictive, {method}": partial(
+            predictive_singleton_pmf, PredictiveQuery(40, 10, 4, BLOCK_PARAMS), method
+        )
+        for method in ("mixture", "closed")
+    },
+}
+
+
+def block_law_results():
+    """Every law of BLOCK_LAWS, or its refusal, computed afresh."""
+    ancestral._ancestral_values.cache_clear()
+    posterior.n_posterior.cache_clear()
+    results = {}
+    for name, law in BLOCK_LAWS.items():
+        try:
+            pmf = law()
+        except NumericalConditioningError as err:
+            results[name] = ("refused", str(err), err.cancellation_ratio)
+            continue
+        results[name] = (
+            "returned", pmf.support_offset, pmf.probs.tobytes(), repr(pmf.mass_defect),
+            pmf.renormalized,
+        )
+    return results
+
+
+class TestBlocks:
+    """numerics.blocks, the one rule by which every kernel cuts its work."""
+
+    def test_runs_pad_every_item_to_their_first(self, monkeypatch):
+        monkeypatch.setattr(numerics, "BLOCK_TERMS", 10)
+        assert numerics.blocks([]) == []
+        assert numerics.blocks([3, 3, 2, 2, 1]) == [slice(0, 3), slice(3, 5)]
+        # an item larger than a block is a run of its own; size 0 counts as 1
+        assert numerics.blocks(np.array([11, 4, 0, 0])) == [slice(0, 1), slice(1, 3), slice(3, 4)]
+
+    def test_no_call_holds_more_than_a_block(self, monkeypatch):
+        # every signed_log_sums call, by name in numerics and in ancestral,
+        # which imports it: at most BLOCK_TERMS floats, unless it holds one
+        # item alone (one row of the kernel's second-to-last axis) that is larger
+        shapes = []
+        kernel = numerics.signed_log_sums
+
+        def counted(log_terms, signs):
+            shapes.append(np.shape(log_terms))
+            return kernel(log_terms, signs)
+
+        for module in (numerics, ancestral):
+            monkeypatch.setattr(module, "signed_log_sums", counted)
+        block_law_results()
+        oversized = [shape for shape in shapes if math.prod(shape) > numerics.BLOCK_TERMS]
+        assert all(shape[-2] == 1 for shape in oversized), oversized
+        # the closed predictive's first moment is such an item
+        assert oversized and len(shapes) > len(BLOCK_LAWS)
+
+    @pytest.mark.parametrize("block_terms", [1, 100, 1 << 16])
+    def test_results_do_not_depend_on_the_block_size(self, monkeypatch, block_terms):
+        # BLOCK_TERMS has one owner, so patching it reaches every kernel
+        want = block_law_results()
+        monkeypatch.setattr(numerics, "BLOCK_TERMS", block_terms)
+        assert block_law_results() == want
+        assert all(result[0] == "returned" for result in want.values())
 
 
 def gate(sums, log_peaks):

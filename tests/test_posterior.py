@@ -615,7 +615,7 @@ class TestHitTable:
     def test_escape_table_matches_the_one_total_loop(self, monkeypatch, block_terms):
         # the closed route's escape block is one _log_escape call over every n,
         # whatever runs of rows it is built in (1 << 16 builds each table in one run)
-        monkeypatch.setattr(posterior, "BLOCK_TERMS", block_terms)
+        monkeypatch.setattr(numerics, "BLOCK_TERMS", block_terms)
         for m, m_prime, y, theta in ((8, 4, 3, 9.5), (25, 200, 20, 0.5), (146, 50, 6, 20.0)):
             totals = theta + np.arange(y, m + m_prime + 1) + m
             table = posterior._log_escape(totals, m_prime, y, 2)
