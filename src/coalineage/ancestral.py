@@ -8,10 +8,9 @@ projection of that law.  Both are the same alternating line-of-descent
 series with different weights on the index i (Griffiths 1980; Tavare
 1984): C(m,i)/(theta+m)_i for the sample, its m -> infinity limit 1/i!
 for the population.  One kernel sums both, and entries are refused when
-cancellation eats the result.  The singleton law's mixture route sums the
-frequency-1 urn law of every population level as one stack; its closed
-route sums the series of every binomial moment as one stack too, then
-takes inclusion-exclusion.
+cancellation eats the result.  The singleton law mixes one table of
+frequency-1 urn laws, sums of positive terms; its closed route sums the
+series of every binomial moment, then takes inclusion-exclusion.
 """
 
 from __future__ import annotations
@@ -26,9 +25,10 @@ import numpy as np
 from .errors import NumericalConditioningError
 from .numerics import (
     SignedLogValue,
+    _parts_ratios,
     _require_theta,
+    _running_sums,
     blocks,
-    exact_count_sums,
     log_factorials,
     log_gamma_table,
     moment_count_sums,
@@ -356,53 +356,67 @@ def _reobserved_rows(levels: np.ndarray, m: int, theta: float) -> np.ndarray:
     return table
 
 
-def _freq_moments(l: int, levels: np.ndarray, m: int, theta: float) -> np.ndarray:
-    """Log binomial moments of r_freq_pmf(l, n, m, theta) for every n of the
-    increasing array levels: row n holds C(n,i) times the chance that i
-    given types are each drawn l times, i = 0..min(n, m // l), padded with
-    -inf.  lgamma(theta + k) is evaluated only on the two ranges that some
-    level reads: k <= top, and k from m - l min(top, m // l) to top + m.
+@np.errstate(divide="ignore")  # a zero step along r is log 0
+def _freq_terms(l: int, levels: np.ndarray, m: int, theta: float) -> np.ndarray:
+    """P[exactly y of n seed types are drawn l times], y = 0..min(n, m // l), one
+    zero-padded row per n of the increasing array levels, before the mass check.
+
+    The seed counts are Dirichlet-multinomial with unit weights, so by Vandermonde,
+    with R = m - l y - (l+1) j, P[y | n] = C(n,y) m!/(theta+n)_m sum_j C(n-y,j)
+    sum_r p(n-y-j, r) (theta+j)_(R-r)/(R-r)!: j types are drawn more than l times,
+    the other n-y-j fewer, r times in all (p of _parts_ratios, size l).  The running
+    sums start at (theta)_n/(theta+m)_n and step along y, j, then r; numerics.blocks
+    cuts the levels, widest first, into runs.  The sums over r and j run left to
+    right, so a row has its bits alone or in any stack.
     """
     top = int(levels[-1])
-    i = np.arange(min(top, m // l) + 1)
-    log_fact = log_factorials(max(top, m) + 1)
-    log_gamma = log_gamma_table(theta, top + m + 1, np.r_[: top + 1, m - l * i[-1] : top + m + 1])
-    n = levels[:, None]
-    j = np.minimum(i, n)  # past row n's last moment the index repeats it, masked below
-    # m! C(n,i) (theta+n-i)_(m-il) / ((m-il)! (theta+n)_m)
-    return np.where(
-        i <= n,
-        log_fact[m]
-        + log_fact[n] - log_fact[j] - log_fact[n - j]
-        + log_gamma[n - j + m - j * l] - log_gamma[n - j]
-        - log_fact[m - j * l]
-        - (log_gamma[n + m] - log_gamma[n]),
-        -math.inf,
-    )
+    y, j = np.arange(min(top, m // l) + 1)[:, None], np.arange(min(top, m // (l + 1)) + 1)
+    k, R = np.arange(top), m - l * y - (l + 1) * j
+    log_start = np.concatenate(([0.0], np.cumsum(np.log((theta + k) / (theta + k + m)))))
+    # the level-free factors of the steps along y and along j, 0 where j leaves the support
+    big = np.maximum(R[:, :-1], l + 1)
+    y_ratio, j_ratio = 1.0 / (y[:-1, 0] + 1), (big - l) / (j[:-1] + 1) / (theta + j[:-1])
+    for i in range(l):
+        y_ratio *= (R[:-1, 0] - i) / (theta + R[:-1, 0] - i - 1)
+        j_ratio *= (big - i) / (theta + j[:-1] + big - l + i)
+    j_ratio *= R[:, :-1] > l
+    del R, big  # a run's arrays are what the stack holds
+    parts, order = _parts_ratios(l, top, min((l - 1) * top, m)), levels[::-1]
+    table = np.zeros((len(order), len(y)))
+    for run in blocks((np.minimum(order, m // l) + 1) * (np.minimum(order, m // (l + 1)) + 1)):
+        n, first = order[run, None, None], int(order[run.start])
+        ys, js = min(first, m // l) + 1, min(first, m // (l + 1)) + 1
+        rest = np.maximum(n - y[:ys] - j[:js], 0)  # the types drawn fewer than l times
+        y_steps = rest[:, :-1, 0] * y_ratio[: ys - 1]
+        j_steps = rest[:, :, :-1] * j_ratio[:ys, : js - 1]
+        log_terms = _running_sums(log_start[n[:, 0, 0]], y_steps, j_steps)
+        terms = np.exp(log_terms, out=None if l > 1 else log_terms)  # l >= 2 steps along r
+        for r in range(1, min((l - 1) * first, m) + 1):
+            gap = m - l * y[:ys] - (l + 1) * j[:js] - r
+            r_steps = parts[rest, r - 1] * np.maximum(gap + 1, 0)
+            r_steps /= theta + j[:js] + np.maximum(gap, 0)
+            log_terms += np.log(r_steps)
+            terms += np.exp(log_terms)
+        table[run, :ys] = np.cumsum(terms, axis=2, out=terms)[:, :, -1]
+        del log_terms, rest, terms, y_steps, j_steps  # before the next run's arrays are made
+    return table[::-1]
 
 
 def _freq_rows(l: int, levels: np.ndarray, m: int, theta: float) -> np.ndarray:
-    """The probs of r_freq_pmf(l, n, m, theta) for every n of levels, as one
-    read-only table: the stack of _freq_moments summed in one call and gated
-    in one pass.  Each row is padded with exact zeros past its own law, and
-    the first failing level raises its own refusal."""
-    sums, log_peaks = exact_count_sums(_freq_moments(l, levels, m, theta), 0)
-    return Pmf.from_signed_rows(sums, log_peaks, 0, "frequency-level type count")
+    """The probs of r_freq_pmf(l, n, m, theta) for every n of the increasing
+    array levels, as one read-only table, each row padded with zeros past its law."""
+    return Pmf.from_rows(_freq_terms(l, levels, m, theta), "frequency-level type count")
 
 
 def r_freq_pmf(l: int, n: int, m: int, theta: float) -> Pmf:
-    """Old types observed exactly l times: n seed types, m draws.
-
-    Alternating sum over how many of the n types are forced to frequency
-    l, through the usual gates: the one-level stack of _freq_moments.
-    """
+    """Old types observed exactly l times: n seed types, m draws (a row of _freq_rows)."""
     if l < 1:
         raise ValueError(f"l must be >= 1, got {l}")
     if n < 0 or m < 0:
         raise ValueError("n and m must be nonnegative")
     _require_theta(theta)
-    sums, log_peaks = exact_count_sums(_freq_moments(l, np.array([n]), m, theta)[0], 0)
-    return Pmf.from_signed_sums(sums, log_peaks, 0, context="frequency-level type count")
+    (terms,) = _freq_terms(l, np.array([n]), m, theta)
+    return Pmf.from_row(terms, 0, "frequency-level type count")
 
 
 def _singleton_closed_entries(
@@ -410,23 +424,19 @@ def _singleton_closed_entries(
 ) -> tuple[np.ndarray, np.ndarray]:
     """signed_log_sums (sums, log_peaks) of the direct singleton representation.
 
-    extra_log is a stack of rows indexed by n = 0..i_hi; both results are
-    (rows, m + 1 - lo): entries z = lo..m of each row, by
-    numerics.moment_count_sums over binomial moments j = lo..m.  Moment
-    j >= 1 of row r is one signed sum over i = j..i_hi and n = j..i of
-    (-1)^(i+n) C(m,j) (2i-1+theta) e^(-t i(i-1+theta)/2)
-    (theta+n-j)_(m-j) Gamma(theta+n+i-1) / ((n-j)! (i-n)! Gamma(theta+n+m))
-    times e^extra_log[r, n]; moment 0 is the j = i = n = 0 corner
-    e^extra_log[r, 0], exact for a zero row.  It comes from expanding the
-    line-count series inside the singleton mixture and swapping the order
-    of summation.  With extra_log = 0 and i_hi = m it is the singleton law,
-    exact there because higher coefficients are mth-order differences of
-    lower-degree polynomials; a route whose extra factor keeps more
-    difference orders alive passes a larger i_hi.  extra_log must be
-    finite at every n >= lo.  Valid for every theta > 0.  The moments
-    j >= 1 are one -inf-padded stack of (moment x (i, n)-pair) terms, cut
-    into runs of whole moments by numerics.blocks, each term's factors added
-    in the order of a one-moment sum, so a moment's bits are its own.
+    extra_log is a stack of rows indexed by n = 0..i_hi, finite at n >= lo; both
+    results are (rows, m + 1 - lo): entries z = lo..m of each row, by
+    numerics.moment_count_sums over binomial moments j = lo..m.  Moment j >= 1 of
+    row r is one signed sum over i = j..i_hi and n = j..i of (-1)^(i+n) C(m,j)
+    (2i-1+theta) e^(-t i(i-1+theta)/2) (theta+n-j)_(m-j) Gamma(theta+n+i-1) /
+    ((n-j)! (i-n)! Gamma(theta+n+m)) times e^extra_log[r, n]; moment 0 is the
+    corner e^extra_log[r, 0].  This swaps the order of summation in the singleton
+    mixture; with extra_log = 0 and i_hi = m it is the singleton law, exact as
+    higher coefficients are mth-order differences of lower-degree polynomials,
+    and a factor that keeps more difference orders alive passes a larger i_hi.
+    The moments j >= 1 are one -inf-padded stack of (moment x (i, n)-pair)
+    terms, cut into runs of whole moments by numerics.blocks, each term's
+    factors added in one-moment order, so a moment's bits are its own.
     """
     log_fact = log_factorials(i_hi + 1)
     log_gamma = log_gamma_table(params.theta, 2 * i_hi + 1)
@@ -462,15 +472,14 @@ def _singleton_closed_entries(
 def singleton_lineage_pmf(m: int, params: ModelParams, method: str = "mixture") -> Pmf:
     """Law of the number of ancestral lines with exactly one sample descendant.
 
-    The default mixes the frequency-level law over the population's
-    surviving line count: conditional on n lines surviving, the m sample
-    units fall into the urn with n seed types, and a line is a singleton
-    ancestor when its type is drawn exactly once.  The frequency-1 laws of
-    every weighted level are one gated array (_freq_rows), each level summed
-    over its own width, mixed by Pmf.from_mixture.  method="closed"
-    evaluates the direct alternating representation instead, an
-    independent cross-check route that reads nothing from the mixture:
-    binomial moments, then inclusion-exclusion.
+    The default mixes the frequency-1 urn law over the population's line
+    count: given n surviving lines, the m sample units fall into the urn with
+    n seed types, and a line is a singleton ancestor when its type is drawn
+    exactly once.  Those laws are one table of sums of positive terms
+    (_freq_rows), mixed by Pmf.from_mixture.  method="closed" evaluates the
+    direct alternating representation instead, an independent cross-check
+    that reads nothing from the mixture: binomial moments, then
+    inclusion-exclusion.
     """
     if m < 0:
         raise ValueError(f"m must be nonnegative, got {m}")

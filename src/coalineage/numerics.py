@@ -1,28 +1,21 @@
 """Log-space primitives and exactly rounded signed summation.
 
-Every distribution in this package is an alternating sum whose terms can
-dwarf the result, so all term arithmetic happens in log space with explicit
-signs.  Every sum runs through signed_log_sums, which takes a padded
-(rows x terms) block, shifts each row by its own peak term, combines it
-with one exact math.fsum and returns two arrays: the scaled sums, whose
-magnitudes are the cancellation ratios, and the log peaks.  reliable_values
-turns those arrays into numbers only where the surviving digits are more
-than rounding noise; otherwise callers see a NumericalConditioningError
-naming the first failing entry.  Every kernel cuts its work into calls of
-at most BLOCK_TERMS floats by one rule, blocks.  exact_count_sums is the
-one inclusion-exclusion path: every "exactly z of N events" law goes
-through it, one row or a stack of levels at a time, each level only over
-its own width, and moment_count_sums takes it over moments that are signed
-sums themselves (the closed singleton routes, whose moments are one stack
-of series).  Every table of log k! is read from one, log_factorials, kept
-for the process and grown on demand; no binomial coefficient has a helper
-here, as each caller builds its own from exact integers or from running
-products.  The lgamma(theta + k) tables are built per call, and a kernel
-that reads few entries of a long one evaluates only those.
+The line-count series and the closed singleton routes are alternating sums
+whose terms can dwarf the result: their terms are taken in log space with
+explicit signs and summed by signed_log_sums (math.fsum of each row shifted
+by its peak), and reliable_values refuses a result whose digits are
+rounding noise.  exact_count_sums is the one inclusion-exclusion kernel,
+and moment_count_sums takes it over signed moments.  The mixture routes'
+urn rows and hit tables are sums of positive terms, each one running sum
+of logs of O(1) step ratios (_running_sums, with _parts_ratios).  Every
+kernel cuts its work into calls of at most BLOCK_TERMS floats by one rule,
+blocks.  Every log k! is read from one table kept for the process,
+log_factorials; lgamma(theta + k) tables are built per call.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -38,7 +31,6 @@ __all__ = [
     "log_rising_factorial",
     "signed_log_sums",
     "blocks",
-    "exact_count_sums",
     "moment_count_sums",
     "reliable_values",
 ]
@@ -130,17 +122,9 @@ def log_gamma_table(base: float, size: int, at=None) -> np.ndarray:
 
 
 def log_rising_factorial(x: float, n: int) -> float:
-    """log of the rising factorial (x)_n = x (x+1) ... (x+n-1).
-
-    Args:
-        x: base, must be >= 0 (every base in this package is theta plus a
-            nonnegative count).
-        n: number of factors, must be >= 0.
-
-    Returns:
-        log (x)_n as a plain float; -inf when x == 0 and n >= 1 (the
-        product contains the factor 0).  (x)_0 == 1 for every x.
-    """
+    """log of the rising factorial (x)_n = x (x+1) ... (x+n-1), for x >= 0 (every
+    base in this package is theta plus a count) and n >= 0: -inf when x == 0 and
+    n >= 1 (the product has the factor 0), and (x)_0 == 1 for every x."""
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
     if x < 0:
@@ -152,9 +136,7 @@ def log_rising_factorial(x: float, n: int) -> float:
     return math.lgamma(x + n) - math.lgamma(x)
 
 
-def signed_log_sums(
-    log_terms: np.ndarray, signs: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
+def signed_log_sums(log_terms: np.ndarray, signs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Row sums of sign * exp(log_term) over a (rows x terms) array.
 
     Rows of different lengths are padded with log term -inf, which
@@ -183,13 +165,11 @@ def signed_log_sums(
     return sums.reshape(log_peaks.shape), log_peaks
 
 
-# log (k-z)! (+inf at k < z) and (-1)^(k-z) over the largest (z, k) block
-# built so far, up to PASCAL_KEEP a side (1 MB); a smaller block is
-# its top-left corner, and a larger one serves its own call only
+# log (k-z)! (+inf at k < z) and (-1)^(k-z) over the largest (z, k) block built so far, up
+# to PASCAL_KEEP a side (1 MB): a smaller block is its corner, a larger one serves its call
 _PASCAL: list = []
 PASCAL_KEEP = 256
-# floats in one signed_log_sums call of any kernel (32 KB, so a stack's
-# transients stay near one block's), under the one rule of blocks
+# floats in one kernel call (32 KB, so a stack's transients stay near one block's)
 BLOCK_TERMS = 1 << 12
 
 
@@ -205,6 +185,29 @@ def blocks(sizes) -> list[slice]:
     return runs
 
 
+def _parts_ratios(size: int, count: int, top: int) -> np.ndarray:
+    """p(k, r + 1) / p(k, r), k = 0..count, r = 0..top-1 (0 where p(k, r + 1) is), with
+    p(k, r) the ways to write r as k ordered parts in 0..size-1, from exact integers."""
+    row, ratios = [1] + [0] * top, []
+    for _ in range(count + 1 if top else 0):
+        ratios.append([b / a if b else 0.0 for a, b in zip(row, row[1:])])
+        prefix = list(itertools.accumulate(row))
+        row = [s - prefix[r - size] if r >= size else s for r, s in enumerate(prefix)]
+    return np.array(ratios).reshape(count + 1, top)
+
+
+@np.errstate(divide="ignore")  # a zero step is log 0
+def _running_sums(log_start: np.ndarray, outer: np.ndarray, inner: np.ndarray) -> np.ndarray:
+    """Entry (row, a, b) = log_start[row] + the logs of outer[row, :a] and of inner[row, a, :b]:
+    each term as one running sum of logs of O(1) step ratios (-inf past a zero step)."""
+    log_terms = np.empty(inner.shape[:2] + (inner.shape[2] + 1,))
+    log_terms[:, 0, 0] = log_start
+    np.log(outer, out=log_terms[:, 1:, 0])
+    np.log(inner, out=log_terms[:, :, 1:])
+    np.cumsum(log_terms[:, :, 0], axis=1, out=log_terms[:, :, 0])
+    return np.cumsum(log_terms, axis=2, out=log_terms)
+
+
 def exact_count_sums(log_moments: np.ndarray, lo: int) -> tuple[np.ndarray, np.ndarray]:
     """signed_log_sums results for P[exactly z of N events], z = lo..N.
 
@@ -214,13 +217,9 @@ def exact_count_sums(log_moments: np.ndarray, lo: int) -> tuple[np.ndarray, np.n
     term taken as k! S_k / (z! (k-z)!), so its log peak is the largest
     log C(k,z) + log S_k.
 
-    log_moments may also be a stack of rows, one per level, with results
-    stacked the same way.  A level's width runs from lo to its last moment
-    that is not -inf; its entries past it are exact zeros, (0.0, -inf), and
-    no term past it is built.  Widest level first, the (level, z, k) terms
-    are cut by blocks into runs of whole levels, and a level wider than a
-    block into runs of rows z.  A term past a level's width is an exact
-    zero, so an entry has the same bits in any stack, and one row is a stack.
+    log_moments may also be a stack of rows, with results stacked the same way,
+    its (row, z, k) terms cut by blocks into runs of rows or of z; an entry has
+    its bits in any stack, as a -inf moment's terms are exact zeros.
     """
     top = log_moments.shape[-1]
     block = _PASCAL[0] if _PASCAL else None
@@ -235,22 +234,13 @@ def exact_count_sums(log_moments: np.ndarray, lo: int) -> tuple[np.ndarray, np.n
     gap_log_fact, signs = block[0][k, k], block[1][k, k]
     log_fact = log_fact[k]
     lead, width = log_moments.shape[:-1], top - lo
-    # one row per level; widths and order shun numpy code no other path runs (bool math, argsort)
-    log_moments = log_moments[..., k].reshape(math.prod(lead), width)
-    widths = np.where(log_moments != -math.inf, np.arange(1, width + 1), 0)
-    widths = widths.max(axis=1, initial=0).tolist()
-    # widest first; a level of width 0 is left out, and stays zeros
-    levels = filter(widths.__getitem__, range(len(widths)))
-    order = sorted(levels, key=widths.__getitem__, reverse=True)
-    sums, log_peaks = np.zeros((len(widths), width)), np.full((len(widths), width), -math.inf)
-    for run in blocks([widths[row] ** 2 for row in order]):
-        rows = order[run]
-        span = widths[rows[0]]
-        weighted = (log_moments[rows, :span] + log_fact[:span])[:, None, :]
-        for z in blocks(np.full(span, len(rows) * span)):
-            log_terms = weighted - log_fact[z, None]
-            log_terms -= gap_log_fact[z, :span]  # in place: one array until it is shifted
-            sums[rows, z], log_peaks[rows, z] = signed_log_sums(log_terms, signs[z, :span])
+    weighted = (log_moments[..., k].reshape(math.prod(lead), width) + log_fact)[:, None, :]
+    sums, log_peaks = np.empty((2, len(weighted), width))
+    for rows in blocks(np.full(len(weighted), width**2)):
+        for z in blocks(np.full(width, (rows.stop - rows.start) * width)):
+            log_terms = weighted[rows] - log_fact[z, None]
+            log_terms -= gap_log_fact[z]  # in place: one array until it is shifted
+            sums[rows, z], log_peaks[rows, z] = signed_log_sums(log_terms, signs[z])
     return sums.reshape(*lead, width), log_peaks.reshape(*lead, width)
 
 
@@ -282,8 +272,7 @@ def reliable_values(
     is refused.  A negative value within the larger of CLIP_FLOOR and the
     noise scale is clipped to zero; a larger negative is refused.  The
     refusal names the first failing entry r in index order as what(r);
-    ``remedy`` names the way around it.  Stacked rows are gated entry by
-    entry the same way, and r is then the flat index.
+    ``remedy`` names the way around it.
     """
     noise = np.exp(np.minimum(log_peaks - LOG_NOISE_SHIFT, 700.0))
     noisy = noise > ENTRY_NOISE_BUDGET

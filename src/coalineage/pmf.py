@@ -3,9 +3,9 @@
 A Pmf here is a contiguous block of probabilities starting at
 ``support_offset``, plus bookkeeping about how trustworthy the numbers
 are: the mass defect observed before any repair, and whether the entries
-were renormalized.  Assembly from signed log-space sums passes every
-entry through the package-wide noise gate (numerics.reliable_values) and
-then the mass tolerance.
+were renormalized.  Signed log-space sums pass every entry through the
+package-wide noise gate (numerics.reliable_values), then the mass
+tolerance; sums of positive terms pass the mass tolerance alone.
 """
 
 from __future__ import annotations
@@ -85,12 +85,10 @@ class Pmf:
         """Assemble a Pmf from the (sums, log_peaks) arrays of numerics.signed_log_sums.
 
         Entry i is sums[i] * exp(log_peaks[i]).  Every entry passes
-        numerics.reliable_values, so one entry lost to rounding noise, or
-        negative beyond its noise scale, fails the whole pmf, and the
-        refusal names the first such entry.  With renormalize=True the
-        surviving entries are scaled to unit mass and the pre-repair
-        defect is recorded; truncated laws pass renormalize=False to keep
-        the tail defect visible.
+        numerics.reliable_values: one entry lost to rounding noise, or negative
+        beyond its noise scale, fails the pmf, and the refusal names the first.
+        With renormalize=True the entries are scaled to unit mass and the
+        pre-repair defect is recorded; truncated laws pass renormalize=False.
         """
         values = reliable_values(
             sums,
@@ -101,28 +99,23 @@ class Pmf:
         return cls._mass_checked(values, support_offset, renormalize, context)
 
     @classmethod
-    def from_signed_rows(cls, sums, log_peaks, support_offset: int, context: str) -> np.ndarray:
-        """The probs of from_signed_sums of each row of (rows x entries) stacks, as one table.
-
-        Every row is gated, mass-checked and renormalized as from_signed_sums
-        does it, in one pass; the first failing row raises its own refusal.
-        Rows are totalled pairwise over the table's width, so a zero-padded
-        row may differ from from_signed_sums in the last bit.  Read-only.
-        """
-        try:
-            values = reliable_values(sums, log_peaks, str, "")
-        except NumericalConditioningError:
-            # a row before the one the gate refused may fail its mass check
-            # first: one row at a time, the first failing row is named
-            for row, peaks in zip(sums, log_peaks):
-                cls.from_signed_sums(row, peaks, support_offset, context=context)
-            raise
-        totals = values.sum(axis=1)
-        for total in totals.tolist():
+    def from_rows(cls, values, context: str) -> np.ndarray:
+        """Each row of a (rows x entries) table of nonnegative floats, mass-checked and
+        renormalized, as one read-only table.  A row is totalled left to right, so
+        zeros that pad it add nothing: it has the same bits alone or in any table."""
+        totals = np.cumsum(values, axis=1)[:, -1:]
+        for total in totals.ravel().tolist():
             _mass_defect(total, context)
-        values /= totals[:, None]
-        values.flags.writeable = False  # read-only, as every Pmf's probs are
-        return values
+        probs = values / totals
+        probs.flags.writeable = False  # read-only, as every Pmf's probs are
+        return probs
+
+    @classmethod
+    def from_row(cls, values, support_offset: int, context: str) -> "Pmf":
+        """The Pmf of one row of nonnegative floats, with the bits from_rows gives it."""
+        (probs,) = cls.from_rows(np.asarray(values)[None], context)
+        defect = _mass_defect(float(np.cumsum(values)[-1]), context)
+        return cls(support_offset, probs, defect, defect > 1e-15)
 
     @classmethod
     def from_floats(
@@ -147,9 +140,8 @@ class Pmf:
         """The law sum_r weights[r] table[r], with size entries from support_offset.
 
         Row r of the (levels x entries) table is one level's zero-padded law from
-        support_offset.  The rows are added in order as one running sum, with no
-        BLAS call or pairwise reduction, even in one column, then padded to size
-        and checked by from_floats.
+        support_offset.  The rows are added in order as one running sum (no BLAS
+        call or pairwise reduction), padded to size and checked by from_floats.
         """
         probs = np.zeros(size)
         probs[: table.shape[1]] = np.cumsum(weights[:, None] * table, axis=0)[-1]

@@ -7,13 +7,11 @@ population's own line count, and the one-extra-draw discovery
 probabilities.  The enlarged type count is the prior urn law shifted by y:
 the m' extra draws meet the n - y unseen lines like a fresh urn with
 innovation mass theta + m + y.  Each predictive law has two routes: a
-mixture over the line-count posterior, whose weights are all positive
-(the production path), and the direct closed form, kept as a cross-check.
-The closed total route has no alternating sum of its own: it reweights
-the enlarged sample's line-count law by one running product.  Both
-hit-count routes are escape moments, then one inclusion-exclusion
-(numerics.exact_count_sums); closed singleton routes condition on their
-own kernel's marginal.  Every mixture reads one table, via Pmf.from_mixture.
+mixture over the line-count posterior of one table of sums of positive
+terms (Pmf.from_mixture; the production path), and the closed form, kept
+as a cross-check.  The closed total route reweights the enlarged sample's
+line-count law by one running product; the closed singleton route sums
+escape moments by inclusion-exclusion and conditions on its own marginal.
 """
 
 from __future__ import annotations
@@ -36,9 +34,10 @@ from .ancestral import (
 )
 from .errors import NumericalConditioningError
 from .numerics import (
+    _parts_ratios,
     _require_theta,
+    _running_sums,
     blocks,
-    exact_count_sums,
     moment_count_sums,
     reliable_values,
 )
@@ -153,20 +152,31 @@ def _log_escape(totals: np.ndarray, m_prime: int, y: int, weight: int) -> np.nda
     return log_escape
 
 
-def _log_binomial_row(y: int) -> np.ndarray:
-    """log C(y, k), k = 0..y, each taken from the exact integer (past y = 67
-    some exceed the int64 range)."""
-    return np.array([math.log(math.comb(y, k)) for k in range(y + 1)])
+def _hit_terms(l: int, totals: np.ndarray, m_prime: int, y: int) -> np.ndarray:
+    """P[m' draws hit exactly x of y lines of urn weight w = 1 + l in a total b],
+    x = 0..min(y, m'), one row per b in totals, before the mass check.
 
-
-def _hit_count_sums(log_escape: np.ndarray, m_prime: int) -> tuple[np.ndarray, np.ndarray]:
-    """exact_count_sums results, x = 0..min(y, m'), for how many of y given lines
-    m' draws hit, one row per row of log_escape: y minus exactly the number that
-    escape, whose binomial moments are C(y,k) exp(log_escape[row, k]), k = 0..y."""
-    y = log_escape.shape[1] - 1
-    log_moments = _log_binomial_row(y) + log_escape
-    sums, log_peaks = exact_count_sums(log_moments, y - min(y, m_prime))
-    return sums[:, ::-1], log_peaks[:, ::-1]
+    A hit line's count has generating function (1-z)^-w - 1 = z sum_(i=1..w) (1-z)^-i,
+    so with beta = b - w y, P[x] = C(y,x) m'!/((m'-x)! (b)_m') sum_K p(x, K)
+    (beta + w x - K)_(m'-x), p of _parts_ratios (size w).  The running sums start
+    at (beta)_(wy)/(beta+m')_(wy) and step along x, then K, in runs cut by blocks.
+    """
+    w, xs = 1 + l, min(y, m_prime) + 1
+    x, steps = np.arange(xs)[:, None], np.arange(l * (xs - 1))
+    parts = _parts_ratios(w, xs - 1, len(steps))
+    # K clipped to l x - 1, past which p is 0, keeps every factor positive
+    gap = w * x - np.minimum(steps, l * x - 1) - 1
+    table = np.empty((len(totals), xs))
+    for run in blocks(np.full(len(totals), w * y + xs * (len(steps) + 1))):
+        beta, a = totals[run, None] - w * y, x[:-1, 0]
+        ratio = (y - a) / (a + 1) * (m_prime - a)
+        for i in range(w):
+            ratio = ratio * (beta + l * a + m_prime + i if i < l else 1.0) / (beta + w * a + i)
+        u, k = beta[:, :, None] + gap, np.arange(w * y)
+        log_start = np.log((beta + k) / (beta + k + m_prime)).sum(axis=1)
+        log_terms = _running_sums(log_start, ratio, parts * u / (u + m_prime - x))
+        table[run] = np.exp(log_terms, out=log_terms).sum(axis=2)
+    return table
 
 
 def cond_r_freq_pmf(l: int, n: int, m: int, m_prime: int, y: int, theta: float) -> Pmf:
@@ -174,14 +184,13 @@ def cond_r_freq_pmf(l: int, n: int, m: int, m_prime: int, y: int, theta: float) 
 
     y of the n old types sit at frequency l after m draws, each with urn
     weight 1 + l out of theta + n + m; x counts the ones that at least one
-    extra draw lands on, so the support runs 0..min(y, m').
+    extra draw lands on, so the support runs 0..min(y, m'): a row of _hit_terms.
     """
     if l < 1:
         raise ValueError(f"l must be >= 1, got {l}")
     _validate_conditional_args(n, m, m_prime, y, theta, y_cap=min(n, m // l))
-    escape = _log_escape(np.array([theta + n + m]), m_prime, y, 1 + l)
-    sums, log_peaks = _hit_count_sums(escape, m_prime)
-    return Pmf.from_signed_sums(sums[0], log_peaks[0], 0, context="hit type count")
+    (terms,) = _hit_terms(l, np.array([theta + n + m]), m_prime, y)
+    return Pmf.from_row(terms, 0, "hit type count")
 
 
 @lru_cache(maxsize=128)
@@ -257,12 +266,11 @@ def predictive_singleton_pmf(query: PredictiveQuery, method: str = "mixture") ->
     """Law of how many single-descendant lines gain copies from m' extra draws.
 
     Given y such lines in the m-sample, x counts the ones that stop being
-    singletons because a new draw lands on them; support 0..min(y, m').
-    The mixture route mixes one gated hit table of cond_r_freq_pmf(1, n, ...)
-    over every weighted posterior level n.
-    The closed route evaluates the direct alternating representation of
-    each escape moment, whose series runs to m + m': the extra-draw factor
-    keeps the last m' difference orders alive past the marginal's cutoff at m.
+    singletons because a new draw lands on them; support 0..min(y, m').  The
+    mixture route mixes the cond_r_freq_pmf(1, n, ...) rows of every weighted
+    posterior level n.  The closed route sums each escape moment's direct
+    alternating series to m + m': the extra-draw factor keeps the last m'
+    difference orders alive past the marginal's cutoff at m.
     """
     _require_method(method)
     m, m_prime, y, params = query.m, query.m_prime, query.y, query.params
@@ -273,8 +281,7 @@ def predictive_singleton_pmf(query: PredictiveQuery, method: str = "mixture") ->
     if method == "mixture":
         weights = n_posterior(m, y, params, mode="singleton").probs
         levels = np.flatnonzero(weights)
-        sums, log_peaks = _hit_count_sums(_log_escape(theta + levels + m, m_prime, y, 2), m_prime)
-        table = Pmf.from_signed_rows(sums, log_peaks, 0, "hit type count")
+        table = Pmf.from_rows(_hit_terms(1, theta + levels + m, m_prime, y), "hit type count")
         return Pmf.from_mixture(weights[levels], table, 0, table.shape[1], "hit singleton count")
     # row k, column n >= y: the chance that k given singleton lines escape all m' draws
     escape = _log_escape(theta + np.arange(y, m + m_prime + 1) + m, m_prime, y, 2)
@@ -286,8 +293,9 @@ def predictive_singleton_pmf(query: PredictiveQuery, method: str = "mixture") ->
     (marginal,) = reliable_values(
         sums[:1, 0], log_peaks[:1, 0], lambda r: event, "use the mixture route"
     )
-    # moment k: C(y,k) times the chance that k given lines escape, gated after the division
-    log_peaks = log_peaks[:, 0] + _log_binomial_row(y)
+    # moment k: C(y,k) (from the exact integer: past y = 67 some exceed int64) times the
+    # chance that k given lines escape, gated after the division
+    log_peaks = log_peaks[:, 0] + [math.log(math.comb(y, k)) for k in range(y + 1)]
     log_peaks -= math.log(_conditioning_mass(float(marginal), event))
     sums, log_peaks = moment_count_sums(sums[:, 0], log_peaks, y - min(y, m_prime))
     return Pmf.from_signed_sums(sums[::-1], log_peaks[::-1], 0, context="hit singleton count")

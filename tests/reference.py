@@ -8,16 +8,17 @@ n, is the reference for Pmf.from_mixture's running sum over a level
 table: of enlarged type count laws for the total predictive, of hit laws
 for the singleton predictive, and of frequency-1 laws for the singleton
 law.  The level-by-level frequency-1 laws are also the reference for the
-singleton posterior's one-pass table, the moment-by-moment closed
-singleton kernel for its stacked moments, and the padded
-inclusion-exclusion kernel for the one that sums each level only over its
-own width.  The one-row signed sum, the per-entry gate, the row-by-row
-line-count series and the entry-by-entry frequency-level urn law are the
-references for the production block kernels and array gates.  The block-process step, the
-event-by-event block process and the death-process sampler are the
-oracles the factored production simulator is compared against.  The
-forward urn samplers draw from the law that the exact enumeration
-tabulates, so the two check each other.
+singleton posterior's one-pass table, and the moment-by-moment closed
+singleton kernel for its stacked moments.  The frequency-l urn law and
+the hit law have two references each: their inclusion-exclusion
+definitions in exact rationals, and their positive forms step by step in
+the arithmetic of theta, exact in rationals and to 50 digits in mpmath.
+The one-row signed sum, the per-entry gate and the row-by-row line-count
+series are the references for the production block kernels and array
+gates.  The block-process step, the event-by-event block process and the
+death-process sampler are the oracles the factored production simulator
+is compared against.  The forward urn samplers draw from the law that
+the exact enumeration tabulates, so the two check each other.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from coalineage import numerics, posterior
+from coalineage import posterior
 from coalineage.ancestral import (
     ModelParams,
     _ancestral_values,
@@ -44,7 +45,6 @@ from coalineage.numerics import (
     ENTRY_NOISE_BUDGET,
     LOG_NOISE_SHIFT,
     SignedLogValue,
-    exact_count_sums,
     log_factorials,
     log_gamma_table,
     log_rising_factorial,
@@ -322,31 +322,119 @@ def factorial_moment_r_freq(
     return total.value
 
 
-def r_freq_pmf_by_entry(l: int, n: int, m: int, theta: float) -> Pmf:
-    """Old types observed exactly l times, one signed_log_sum and gate per entry x.
+def rising(x, n: int):
+    """The rising factorial (x)_n, a product in the arithmetic of x."""
+    out = x**0
+    for i in range(n):
+        out = out * (x + i)
+    return out
 
-    The same alternating sum over i = x..min(n, m // l) as
-    ancestral.r_freq_pmf, with full log-gamma tables and a Python loop
-    over the entries.
-    """
-    hi = min(n, m // l)
-    i = np.arange(hi + 1)
-    log_fact = log_gamma_table(1.0, max(n, m) + 1)
-    log_gamma = log_gamma_table(theta, n + m + 1)
-    # m! C(n,i) (theta+n-i)_(m-il) / ((m-il)! (theta+n)_m), before the C(i,x) of each entry
-    log_parts = (
-        log_fact[m]
-        + log_fact[n] - log_fact[i] - log_fact[n - i]
-        + log_gamma[n - i + m - i * l] - log_gamma[n - i]
-        - log_fact[m - i * l]
-        - (log_gamma[n + m] - log_gamma[n])
-    )
-    entries = []
-    for x in range(hi + 1):
-        log_terms = log_parts[x:] + log_fact[i[x:]] - log_fact[x] - log_fact[i[x:] - x]
-        signs = np.where((i[x:] - x) % 2 == 0, 1.0, -1.0)
-        entries.append(signed_log_sum(log_terms, signs))
-    return pmf_by_entry(entries, "frequency-level type count")
+
+def parts_counts(size: int, count: int, top: int) -> list[list[int]]:
+    """p(k, r) for k = 0..count and r = 0..top: the ways to write r as k ordered
+    parts in 0..size-1, each row the direct convolution of the one before."""
+    rows = [[1] + [0] * top]
+    for _ in range(count):
+        prev = rows[-1]
+        rows.append([sum(prev[r - a] for a in range(min(size, r + 1))) for r in range(top + 1)])
+    return rows
+
+
+def freq_law_definition(l: int, n: int, m: int, theta: Fraction) -> list[Fraction]:
+    """P[exactly y of n seed types are drawn l times in m draws], y = 0..min(n, m // l),
+    by inclusion-exclusion over the binomial moments S_i = C(n,i) m!
+    (theta+n-i)_(m-il) / ((m-il)! (theta+n)_m), in exact rationals."""
+    top = min(n, m // l)
+    moments = [
+        math.comb(n, i) * math.factorial(m) * rising(theta + n - i, m - i * l)
+        / (math.factorial(m - i * l) * rising(theta + n, m))
+        for i in range(top + 1)
+    ]
+    return [
+        sum((-1) ** (i - y) * math.comb(i, y) * moments[i] for i in range(y, top + 1))
+        for y in range(top + 1)
+    ]
+
+
+def freq_law_by_steps(l: int, n: int, m: int, theta) -> list:
+    """The positive form of ancestral._freq_terms for one level n, every step ratio
+    taken in the arithmetic of theta: exact for a Fraction, to the working
+    precision for an mpmath.mpf.  From (theta)_n/(theta+m)_n at y = j = r = 0,
+    along y, then along j (types drawn more than l times), then along r (draws
+    on the types drawn fewer than l times), as in the production kernel."""
+    parts = parts_counts(l, n, min((l - 1) * n, m))
+    base = theta**0
+    for k in range(n):
+        base = base * (theta + k) / (theta + k + m)
+    law = []
+    for y in range(min(n, m // l) + 1):
+        if y:
+            base = base * (n - y + 1) / y
+            for i in range(l):
+                rest = m - l * (y - 1) - i
+                base = base * rest / (theta + rest - 1)
+        total, term = 0 * base, base
+        for j in range(n - y + 1):
+            big = m - l * y - (l + 1) * j
+            if big < 0:
+                break
+            if j:
+                before = big + l + 1
+                term = term * (n - y - j + 1) / j / (theta + j - 1)
+                for i in range(l + 1):
+                    term = term * (before - i)
+                for i in range(l):
+                    term = term / (theta + j - 1 + before - l + i)
+            part, row = term, parts[n - y - j]
+            for r in range(min(big, (l - 1) * (n - y - j)) + 1):
+                if r:
+                    part = part * row[r] / row[r - 1] * (big - r + 1) / (theta + j + big - r)
+                total += part
+        law.append(total)
+    return law
+
+
+def hit_law_definition(l: int, b: Fraction, m_prime: int, y: int) -> list[Fraction]:
+    """P[m' draws hit exactly x of y given lines], x = 0..min(y, m'), each line of
+    urn weight 1 + l in a total b, by inclusion-exclusion over how many escape:
+    S_k = C(y,k) (b - k(1+l))_m' / (b)_m', in exact rationals."""
+    moments = [
+        math.comb(y, k) * rising(b - k * (1 + l), m_prime) / rising(b, m_prime)
+        for k in range(y + 1)
+    ]
+    escape = [
+        sum((-1) ** (k - e) * math.comb(k, e) * moments[k] for k in range(e, y + 1))
+        for e in range(y + 1)
+    ]
+    return [escape[y - x] for x in range(min(y, m_prime) + 1)]
+
+
+def hit_law_by_steps(l: int, b, m_prime: int, y: int) -> list:
+    """The positive form of posterior._hit_terms for one urn total b, every step
+    ratio taken in the arithmetic of b, as freq_law_by_steps does: from
+    (beta)_(wy)/(beta+m')_(wy), beta = b - w y and w = 1 + l, at x = K = 0,
+    along x, then along K."""
+    w, top = 1 + l, min(y, m_prime)
+    beta, parts = b - w * y, parts_counts(w, top, l * top)
+    base = b**0
+    for k in range(w * y):
+        base = base * (beta + k) / (beta + k + m_prime)
+    law = []
+    for x in range(top + 1):
+        if x:
+            base = base * (y - x + 1) / x * (m_prime - x + 1)
+            for i in range(l):
+                base = base * (beta + l * (x - 1) + m_prime + i)
+            for i in range(w):
+                base = base / (beta + w * (x - 1) + i)
+        total, term = 0 * base, base
+        for k in range(l * x + 1):
+            if k:
+                u = beta + w * x - k
+                term = term * parts[x][k] / parts[x][k - 1] * u / (u + m_prime - x)
+            total += term
+        law.append(total)
+    return law
 
 
 def mixture_by_level(weights, component, support_offset: int, size: int, context: str) -> Pmf:
@@ -415,33 +503,6 @@ def singleton_closed_entries_by_moment(
     return moment_count_sums(sums, log_peaks, lo)
 
 
-def exact_count_sums_padded(log_moments: np.ndarray, lo: int) -> tuple[np.ndarray, np.ndarray]:
-    """numerics.exact_count_sums with every level padded to the whole stack's
-    width: blocks of whole levels, or of rows z within one level, of at most
-    numerics.BLOCK_TERMS floats, each summing every (z, k) term up to column N,
-    and a fresh Pascal block per call."""
-    top = log_moments.shape[-1]
-    log_fact = log_factorials(top)
-    gap = np.arange(top) - np.arange(top)[:, None]
-    k = slice(lo, top)
-    gap_log_fact = np.where(gap >= 0, log_fact[np.abs(gap)], math.inf)[k, k]
-    signs = np.where(gap % 2 == 0, 1.0, -1.0)[k, k]
-    log_fact = log_fact[k]
-    lead, width = log_moments.shape[:-1], top - lo
-    weighted = (log_moments[..., k] + log_fact)[..., None, :]
-    span = max(width, 1)
-    z_step = min(span, numerics.BLOCK_TERMS // span) or 1
-    level_step = numerics.BLOCK_TERMS // (z_step * span) or 1
-    sums, log_peaks = np.empty((2, math.prod(lead), width))
-    for a in range(0, len(weighted), level_step):
-        for z in [slice(c, c + z_step) for c in range(0, width, z_step)]:
-            log_terms = weighted[a : a + level_step] - log_fact[z, None]
-            log_terms -= gap_log_fact[z]
-            block = signed_log_sums(log_terms, signs[z])
-            sums[a : a + level_step, z], log_peaks[a : a + level_step, z] = block
-    return sums.reshape(*lead, width), log_peaks.reshape(*lead, width)
-
-
 def log_escape_by_step(b: float, m_prime: int, y: int, weight: int) -> np.ndarray:
     """posterior._log_escape for one urn total b, one step of the running sum at a time."""
     log_escape = np.zeros(y + 1)
@@ -454,22 +515,22 @@ def log_escape_by_step(b: float, m_prime: int, y: int, weight: int) -> np.ndarra
 
 
 def cond_r_freq_pmf_by_level(l: int, n: int, m: int, m_prime: int, y: int, theta: float) -> Pmf:
-    """posterior.cond_r_freq_pmf built on its own: the one-total escape loop, one
-    exact_count_sums row and from_signed_sums, with no stack of levels."""
+    """posterior.cond_r_freq_pmf read off a stack: level n's row of one
+    posterior._hit_terms table over the levels n..n+4, as Pmf.from_row takes it."""
+    if l < 1:
+        raise ValueError(f"l must be >= 1, got {l}")
     _validate_conditional_args(n, m, m_prime, y, theta, y_cap=min(n, m // l))
-    log_binomials = np.array([math.log(math.comb(y, k)) for k in range(y + 1)])
-    log_moments = log_binomials + log_escape_by_step(theta + n + m, m_prime, y, 1 + l)
-    sums, log_peaks = exact_count_sums(log_moments, y - min(y, m_prime))
-    return Pmf.from_signed_sums(sums[::-1], log_peaks[::-1], 0, context="hit type count")
+    table = posterior._hit_terms(l, theta + n + m + np.arange(5.0), m_prime, y)
+    return Pmf.from_row(table[0], 0, "hit type count")
 
 
 def predictive_singleton_by_level(query) -> Pmf:
     """The mixture posterior.predictive_singleton_pmf at m, m' >= 1, with each
-    level's hit law built on its own by cond_r_freq_pmf_by_level, in increasing n."""
+    level's hit law built on its own by posterior.cond_r_freq_pmf, in increasing n."""
     m, m_prime, y, params = query.m, query.m_prime, query.y, query.params
     return mixture_by_level(
         posterior.n_posterior(m, y, params, mode="singleton").probs,
-        lambda n: cond_r_freq_pmf_by_level(1, n, m, m_prime, y, params.theta),
+        lambda n: posterior.cond_r_freq_pmf(1, n, m, m_prime, y, params.theta),
         0,
         min(y, m_prime) + 1,
         context="hit singleton count",

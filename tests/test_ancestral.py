@@ -32,7 +32,6 @@ from coalineage.ewens import AlleleConfiguration, esf_log_prob
 from coalineage.numerics import (
     SignedLogValue,
     log_factorials,
-    log_gamma_table,
     reliable_values,
 )
 from coalineage.pmf import Pmf
@@ -41,18 +40,14 @@ from reference import (
     ancestral_values_by_row,
     lineage_entries_by_row,
     mixture_by_level,
+    freq_law_by_steps,
+    freq_law_definition,
     pmf_by_entry,
-    r_freq_pmf_by_entry,
     singleton_closed_entries_by_moment,
     singleton_lineage_by_level,
     singleton_posterior_by_level,
     values_by_entry,
 )
-
-def full_log_gamma_table(base, size, at=None):
-    """numerics.log_gamma_table with every entry evaluated, whatever at asks for."""
-    return log_gamma_table(base, size)
-
 
 SINGLETON_GRID_M = (1, 5, 20, 146, 1000)
 SINGLETON_GRID_THETA = (0.5, 1.0, 3.0, 9.5, 20.0)
@@ -349,19 +344,37 @@ class TestSeedTypeLaws:
         assert worst < 1e-13
 
     @pytest.mark.parametrize("l", [1, 2, 3])
-    @pytest.mark.parametrize("m", [146, 1000])
-    def test_r_freq_matches_entry_by_entry_reference(self, l, m, monkeypatch):
-        for n in (0, 1, 7, 50):
-            for theta in (0.5, 9.5, 20.0):
-                got = r_freq_pmf(l, n, m, theta).probs
-                np.testing.assert_allclose(
-                    got, r_freq_pmf_by_entry(l, n, m, theta).probs, rtol=1e-12, atol=0.0
-                )
-                # the tables evaluated only where read give the full tables' result
-                with monkeypatch.context() as patch:
-                    patch.setattr(ancestral, "log_gamma_table", full_log_gamma_table)
-                    (row,) = ancestral._freq_rows(l, np.array([n]), m, theta)
-                assert got.tobytes() == row.tobytes() and not row.flags.writeable
+    @pytest.mark.parametrize("m", [20, 146, 1000])
+    def test_r_freq_matches_entry_by_entry_reference(self, l, m):
+        # every entry within 1e-12 of the positive form taken step by step at
+        # 50 digits; a lone level's law has the bits of its one-level table.
+        # At l >= 2 the reference's sum over r grows as n**3, so its largest
+        # levels run where m caps it
+        points = [(0, 0.5), (1, 20.0), (7, 9.5), (7, 0.5), (20, 20.0), (50, 0.5), (200, 9.5)]
+        for n, theta in points if l == 1 or m == 20 else points[:5]:
+            got = r_freq_pmf(l, n, m, theta).probs
+            with mpmath.workdps(50):
+                want = freq_law_by_steps(l, n, m, mpmath.mpf(theta))
+            assert len(got) == len(want) == min(n, m // l) + 1
+            assert max(abs(float(w - p)) for p, w in zip(got, want)) <= 1e-12, (n, theta)
+            (row,) = ancestral._freq_rows(l, np.array([n]), m, theta)
+            assert got.tobytes() == row.tobytes() and not row.flags.writeable
+
+    @pytest.mark.parametrize(
+        "l, n, m", [(1, 7, 12), (2, 7, 12), (3, 6, 14), (2, 20, 40), (1, 0, 5), (3, 2, 1)]
+    )
+    def test_positive_form_is_the_inclusion_exclusion_law(self, l, n, m):
+        # in exact rationals, the positive form's steps give the definition
+        for theta in (Fraction(1, 2), Fraction(19, 2), Fraction(3)):
+            assert freq_law_by_steps(l, n, m, theta) == freq_law_definition(l, n, m, theta)
+
+    @pytest.mark.parametrize("theta", [20.0, 9.5])
+    def test_large_level_rows_hold_their_digits(self, theta):
+        # the inclusion-exclusion kernel returned these rows 2.76e-7 (theta = 20)
+        # and 2.59e-7 (theta = 9.5) off the exact law, under its noise gate
+        exact = freq_law_definition(1, 50, 146, Fraction(theta))
+        got = r_freq_pmf(1, 50, 146, theta).probs
+        assert max(abs(p - float(e)) for p, e in zip(got, exact)) <= 1e-13
 
     def test_domain_checks(self):
         with pytest.raises(ValueError):
@@ -420,13 +433,12 @@ class TestSingletonLineagePmf:
                     (m, y, theta, t),
                 )
 
-    @pytest.mark.parametrize("m", [0, 1, 5, 20])
+    @pytest.mark.parametrize("m", [0, 1, 5, 20, 146])
     def test_law_is_the_level_by_level_mixture_bit_for_bit(self, m):
         # the levels are added in increasing n even when the table is one
         # column wide (m = 0), where a numpy column sum would go pairwise.
-        # Up to m = 5 the stacked rows are the one-level laws' bits, so the
-        # law is singleton_lineage_by_level's; at m = 20 a few rows differ
-        # in the last bit, and the law is the same rows mixed level by level
+        # The stacked rows, each padded to its run's widest level, are the
+        # one-level laws' bits, so the law is singleton_lineage_by_level's
         def bits(build):
             try:
                 law = build()
@@ -446,29 +458,11 @@ class TestSingletonLineagePmf:
             params = ModelParams(theta, t)
             got = bits(lambda: singleton_lineage_pmf(m, params))
             assert got == bits(lambda: own_rows_by_level(params)), (m, theta, t)
-            if m <= 5:
-                assert got == bits(lambda: singleton_lineage_by_level(m, params)), (m, theta, t)
-
-    def test_stacked_refusal_names_the_first_failing_level(self):
-        # one-level laws at m = 146, theta = 0.5 refuse from n = 60 on, each
-        # level naming its own entry; the stack raises level 60's refusal
-        m, theta = 146, 0.5
-        levels = np.arange(40, 81)
-        refusals = [refusal(lambda: r_freq_pmf(1, n, m, theta)) for n in levels.tolist()]
-        first = next(r for r in refusals if r is not None)
-        assert refusals.index(first) == 20 and refusals[21] not in (None, first)
-        assert refusal(lambda: ancestral._freq_rows(1, levels, m, theta)) == first
-        # the levels before it come back as their one-level laws, padded with zeros
-        table = ancestral._freq_rows(1, levels[:20], m, theta)
-        assert not table.flags.writeable
-        for n, row in zip(levels[:20].tolist(), table):
-            one = r_freq_pmf(1, n, m, theta).probs
-            assert np.max(np.abs(row[: len(one)] - one)) <= 1e-15
-            assert not row[len(one) :].any()
+            assert got == bits(lambda: singleton_lineage_by_level(m, params)), (m, theta, t)
 
     def test_stacked_law_holds_a_few_blocks(self):
-        # the sweep box's largest stack: 48 levels of 48 moments, a
-        # 110,592-term cube that the kernel sums in blocks.  Its transients
+        # the sweep box's largest stack: 48 levels whose (y, j) squares pad
+        # to a 110,592-term cube that the kernel builds in runs.  Its transients
         # stay near what one-level rows need, so a process running many such
         # laws keeps the resident set that the level-by-level mixture had
         params = ModelParams(0.5, 0.15)
@@ -485,21 +479,6 @@ class TestSingletonLineagePmf:
             tracemalloc.stop()
         assert peak < 7 * 8 * numerics.BLOCK_TERMS
 
-    def test_each_level_is_summed_over_its_own_width(self, monkeypatch):
-        # 48 levels whose frequency-1 laws have widths 1..48: padded to the
-        # widest they would be a 48**3 = 110,592-term cube, where their own
-        # squares hold sum(w**2) = 38,024 terms.  A block is as wide as its
-        # widest level, so a little padding is allowed
-        params = ModelParams(0.5, 0.15)
-        assert len(np.flatnonzero(_ancestral_values(params, None))) == 48
-        terms = []
-        kernel = numerics.signed_log_sums
-        monkeypatch.setattr(
-            numerics, "signed_log_sums", lambda *a: (terms.append(np.size(a[0])), kernel(*a))[1]
-        )
-        singleton_lineage_pmf(146, params)
-        assert sum(terms) <= 1.25 * sum(w * w for w in range(1, 49))
-
     @pytest.mark.parametrize("m", [1, 6, 20, 30])
     def test_closed_route_matches_mixture(self, m):
         for theta, t in ((0.5, 1.0), (1.5, 0.4), (9.5, 0.34)):
@@ -508,9 +487,10 @@ class TestSingletonLineagePmf:
             assert closed.tv_distance(singleton_lineage_pmf(m, params)) <= 1e-8
 
     def test_both_routes_match_mpmath_mixture_series(self):
-        # both routes sum through numerics.exact_count_sums, so the
-        # reference takes neither: 50-digit population series, and the urn
-        # law through weak compositions rather than inclusion-exclusion
+        # the closed route sums through numerics.exact_count_sums and the
+        # mixture through positive urn rows, so the reference takes neither:
+        # 50-digit population series, and the urn law through weak
+        # compositions
         for m, theta, t in ((8, 1.0, 0.34), (12, 3.0, 0.2), (20, 0.5, 1.0), (20, 9.5, 0.15)):
             params = ModelParams(theta, t)
             reference = np.array([float(p) for p in singleton_law_mpmath(m, theta, t)])

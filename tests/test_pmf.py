@@ -41,36 +41,18 @@ def test_from_mixture_adds_rows_in_order_even_in_one_column():
     np.testing.assert_array_equal(mixture.probs, [1.0, 0.0])
 
 
-
-def _rows_or_refusal(build):
-    try:
-        return [row.tobytes() for row in build()]
-    except NumericalConditioningError as err:
-        return str(err)
-
-
-@pytest.mark.parametrize(
-    "sums, log_peaks",
-    [
-        # every row passes: unit mass, a small defect to repair, and an empty entry
-        ([[0.25, 0.75], [0.5, 0.5 + 1e-9], [1.0, 0.0]], [[0.0, 0.0], [0.0, 0.0], [0.0, -math.inf]]),
-        # row 1 fails its mass check before row 2 fails its noise gate
-        ([[0.5, 0.5], [0.5, 0.25], [0.5, 0.5]], [[0.0, 0.0], [0.0, 0.0], [40.0, 0.0]]),
-        # row 1 is negative beyond the floor before row 2 fails its mass check
-        ([[1.0, 0.0], [1.0, -1e-6], [0.3, 0.3]], [[0.0, 0.0], [0.0, 0.0], [0.0, 0.0]]),
-        # an empty row, then a nan row, each refused by its mass check before the next
-        ([[0.5, 0.5], [0.0, 0.0], [0.5, 0.25]], [[0.0, 0.0], [-math.inf] * 2, [0.0, 0.0]]),
-        ([[0.5, 0.5], [math.nan, 1.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0], [-math.inf] * 2]),
-    ],
-)
-def test_from_signed_rows_is_from_signed_sums_per_row(sums, log_peaks):
-    # the table's rows are the probs of from_signed_sums, bit for bit, or the
-    # refusal of the first failing row
-    sums, log_peaks = np.array(sums), np.array(log_peaks)
-    expected = _rows_or_refusal(
-        lambda: [Pmf.from_signed_sums(s, p, 2, context="test").probs for s, p in zip(sums, log_peaks)]
-    )
-    assert _rows_or_refusal(lambda: Pmf.from_signed_rows(sums, log_peaks, 2, "test")) == expected
-    if not isinstance(expected, str):
-        table = Pmf.from_signed_rows(sums, log_peaks, 2, "test")
-        assert table.shape == sums.shape and not table.flags.writeable
+def test_from_rows_gives_a_row_its_bits_alone_or_padded():
+    # nine entries: numpy's pairwise sum over ten or more would group them
+    # differently from a sum over nine, where left to right it cannot
+    rng = np.random.default_rng(3)
+    row = rng.random(9)
+    row *= (1.0 + 1e-9) / row.sum()
+    table = np.zeros((3, 40))
+    table[0], table[1, :9], table[2, :4] = 1 / 40, row, 0.25
+    probs = Pmf.from_rows(table, "test")
+    law = Pmf.from_row(row, 2, "test")
+    assert probs[1, :9].tobytes() == law.probs.tobytes() and not probs[1, 9:].any()
+    assert law.support_offset == 2 and law.renormalized and 0 < law.mass_defect < 2e-9
+    assert not probs.flags.writeable and not law.probs.flags.writeable
+    with pytest.raises(NumericalConditioningError, match="test: mass defect"):
+        Pmf.from_rows(table * [[1.0], [1.0], [0.5]], "test")

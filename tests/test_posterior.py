@@ -21,7 +21,6 @@ from coalineage.enumeration import enumerate_sequences, oracle_pmf_exact
 from coalineage import numerics, posterior
 from coalineage.errors import NumericalConditioningError
 from coalineage.numerics import ENTRY_NOISE_BUDGET
-from coalineage.pmf import Pmf
 from coalineage.posterior import (
     PredictiveQuery,
     cond_r_freq_pmf,
@@ -37,6 +36,8 @@ from reference import (
     cond_r_pmf_by_entry,
     factorial_moment_r,
     factorial_moment_r_freq,
+    hit_law_by_steps,
+    hit_law_definition,
     log_escape_by_step,
     predictive_lineage_by_level,
     predictive_singleton_by_level,
@@ -207,6 +208,39 @@ class TestCondRFreq:
         got = cond_r_freq_pmf(l, n, m, m_prime, y, theta)
         assert got.support_offset == 0 and len(got.probs) == len(exact)
         assert max(abs(p - float(e)) for p, e in zip(got.probs, exact)) <= ENTRY_NOISE_BUDGET
+
+    @pytest.mark.parametrize(
+        "l, n, m, m_prime, y",
+        [(1, 10, 12, 5, 3), (2, 10, 12, 5, 3), (1, 40, 146, 50, 10), (3, 9, 15, 7, 4),
+         (1, 5, 5, 0, 3), (2, 3, 8, 2, 3)],
+    )
+    def test_positive_form_is_the_inclusion_exclusion_law(self, l, n, m, m_prime, y):
+        # in exact rationals, the positive form's steps give the definition
+        for theta in (Fraction(1, 2), Fraction(19, 2), Fraction(3)):
+            b = theta + n + m
+            assert hit_law_by_steps(l, b, m_prime, y) == hit_law_definition(l, b, m_prime, y)
+
+    @pytest.mark.parametrize("l", [1, 2, 3])
+    def test_matches_the_50_digit_positive_form(self, l):
+        for (n, m, m_prime, y), theta in itertools.product(
+            ((10, 12, 5, 3), (40, 146, 50, 10), (80, 146, 200, 40), (100, 1000, 500, 60),
+             (60, 146, 1, 20)),
+            (0.5, 9.5, 20.0),
+        ):
+            if y > m // l:
+                continue
+            got = cond_r_freq_pmf(l, n, m, m_prime, y, theta).probs
+            with mpmath.workdps(50):
+                want = hit_law_by_steps(l, mpmath.mpf(theta) + n + m, m_prime, y)
+            assert len(got) == len(want) == min(y, m_prime) + 1
+            assert max(abs(float(w - p)) for p, w in zip(got, want)) <= 1e-12, (n, m, m_prime, y)
+
+    def test_large_level_row_holds_its_digits(self):
+        # the inclusion-exclusion kernel returned this row 1.4e-8 off the
+        # exact law, under its noise gate
+        exact = hit_law_definition(1, Fraction(9.5) + 80 + 146, 200, 40)
+        got = cond_r_freq_pmf(1, 80, 146, 200, 40, 9.5).probs
+        assert max(abs(p - float(e)) for p, e in zip(got, exact)) <= 1e-13
 
     def test_mean_matches_first_moment(self):
         for (l, n, m, m_prime, y, theta) in [
@@ -523,16 +557,15 @@ def law_or_refusal(build):
     return law.support_offset, law.probs.tobytes(), law.mass_defect, law.renormalized
 
 
-# exact float64 results of the level-by-level hit laws that the one-pass
-# table replaced, frozen from that code; the closed route and
-# gt_singleton_prob are pinned to the same code's values
-COND_R_FREQ_FROZEN = {
-    (1, 5, 8, 4, 3, 9.5): [0.315334644496096, 0.49798302299643155, 0.1744765991502998,
-                           0.012205733357172684],
-    (1, 120, 146, 1, 20, 9.5): [0.8548094373865808, 0.1451905626134192],
-    (3, 40, 146, 4, 20, 20.0): [0.14253671946539312, 0.3749585895141282, 0.3403420837009355,
-                                0.1261043726260681, 0.016058234693475115],
+# hit laws rounded from exact rationals (reference.hit_law_definition)
+COND_R_FREQ_EXACT = {
+    (1, 5, 8, 4, 3, 9.5): [0.31533464449609633, 0.4979830229964326, 0.17447659915029842,
+                           0.012205733357172656],
+    (1, 120, 146, 1, 20, 9.5): [0.8548094373865699, 0.14519056261343014],
+    (3, 40, 146, 4, 20, 20.0): [0.14253671946235985, 0.3749585895061445, 0.34034208369370883,
+                                0.12610437262189056, 0.016058234715896177],
 }
+# float64 results of the closed singleton routes, frozen from their code
 CLOSED_SINGLETON_FROZEN = {
     (8, 4, 3, 9.5, 0.34): [0.2993334943097645, 0.501319335354478, 0.1856602972627848,
                            0.013686873072972684],
@@ -541,14 +574,36 @@ CLOSED_SINGLETON_FROZEN = {
     (146, 1, 3, 9.5, 0.34): [0.9625228553482853, 0.03747714465171473],
 }
 GT_SINGLETON_FROZEN = {
-    # (m, y, theta, t): (mixture, closed)
-    (8, 3, 9.5, 0.34): (0.2779128713519163, 0.2779128713519137),
-    (25, 1, 20.0, 0.15): (0.03961551164615446, 0.03961551164630395),
-    (146, 3, 9.5, 0.34): (0.03747714465171842, 0.03747714465171473),
+    # (m, y, theta, t): (mixture, closed); the mixture's value is rounded from a
+    # 50-digit population series mixed with exact rational urn likelihoods
+    (8, 3, 9.5, 0.34): (0.27791287135191595, 0.2779128713519137),
+    (25, 1, 20.0, 0.15): (0.03961551164615694, 0.03961551164630395),
+    (146, 3, 9.5, 0.34): (0.03747714465171844, 0.03747714465171473),
 }
 
 
 class TestHitTable:
+    def test_mixture_routes_sum_no_signed_series(self, monkeypatch):
+        # the urn rows and hit tables are sums of positive terms: with the
+        # population law cached, no singleton mixture route calls the signed
+        # kernel or its noise gate
+        from coalineage import ancestral, pmf
+
+        params = ModelParams(9.5, 0.34)
+        _ancestral_values(params, None)
+
+        def refuse(*args):
+            raise AssertionError("a signed kernel was called")
+
+        for module in (numerics, ancestral, posterior, pmf):
+            for name in ("signed_log_sums", "reliable_values"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, refuse)
+        singleton_lineage_pmf(146, params)
+        predictive_singleton_pmf(PredictiveQuery(146, 50, 3, params))
+        gt_singleton_prob(146, 3, params)
+        cond_r_freq_pmf(2, 40, 146, 50, 10, 9.5)
+
     def test_mixture_matches_level_by_level_reference(self):
         # bit for bit, refusals and their messages included, over the grid
         # the one-pass table must not move
@@ -579,26 +634,6 @@ class TestHitTable:
             outcomes[isinstance(got[1], str)] += 1
         assert outcomes[False] > 200 and outcomes[True] > 50
 
-    @pytest.mark.parametrize(
-        "y, levels, message",
-        [
-            # level 40 passes, 120 is the first to fail, 130 would fail too
-            (20, (40, 120, 130), "entry at 19 is negative"),
-            # both fail, and the lower level is named
-            (40, (120, 40), "entry at 15 lost all significant digits"),
-        ],
-    )
-    def test_first_failing_level_is_refused(self, monkeypatch, y, levels, message):
-        # these levels carry no posterior weight at any t the population law
-        # reaches, so a stand-in posterior puts weight on them
-        weights = np.zeros(max(levels) + 1)
-        weights[list(levels)] = 1.0 / len(levels)
-        monkeypatch.setattr(posterior, "n_posterior", lambda *args, **kwargs: Pmf(0, weights, 0.0))
-        q = PredictiveQuery(146, 50, y, ModelParams(9.5, 0.34))
-        got = law_or_refusal(lambda: predictive_singleton_pmf(q))
-        assert got == law_or_refusal(lambda: predictive_singleton_by_level(q))
-        assert got[0] == "NumericalConditioningError" and message in got[1]
-
     def test_cond_r_freq_matches_level_by_level_reference(self):
         for l, n, m, m_prime, y, theta in itertools.product(
             (1, 2, 3), (0, 5, 40, 120), (0, 7, 50, 146), (0, 1, 4, 50, 200), (0, 1, 6, 20, 40),
@@ -608,8 +643,8 @@ class TestHitTable:
             assert law_or_refusal(lambda: cond_r_freq_pmf(*args)) == law_or_refusal(
                 lambda: cond_r_freq_pmf_by_level(*args)
             ), args
-        for args, probs in COND_R_FREQ_FROZEN.items():
-            assert cond_r_freq_pmf(*args).probs.tolist() == probs, args
+        for args, probs in COND_R_FREQ_EXACT.items():
+            assert np.max(np.abs(cond_r_freq_pmf(*args).probs - probs)) <= 1e-15, args
 
     @pytest.mark.parametrize("block_terms", [1, 100, 1000, numerics.BLOCK_TERMS, 1 << 16])
     def test_escape_table_matches_the_one_total_loop(self, monkeypatch, block_terms):
@@ -642,46 +677,10 @@ class TestHitTable:
         for (m, m_prime, y, theta, t), probs in CLOSED_SINGLETON_FROZEN.items():
             q = PredictiveQuery(m, m_prime, y, ModelParams(theta, t))
             assert predictive_singleton_pmf(q, method="closed").probs.tolist() == probs
-        for (m, y, theta, t), values in GT_SINGLETON_FROZEN.items():
+        for (m, y, theta, t), (mixture, closed) in GT_SINGLETON_FROZEN.items():
             params = ModelParams(theta, t)
-            got = tuple(gt_singleton_prob(m, y, params, method) for method in ("mixture", "closed"))
-            assert got == values
-
-    def test_kernel_blocks_follow_the_table_not_the_levels(self, monkeypatch):
-        # 146 singletons among 146 draws have negligible posterior mass at
-        # every t the population law reaches, so a stand-in posterior sets
-        # the level count; the whole table is summed before any level is gated
-        blocks = []
-        real = numerics.signed_log_sums
-
-        def counted(log_terms, signs):
-            blocks.append(np.size(log_terms))
-            return real(log_terms, signs)
-
-        monkeypatch.setattr(numerics, "signed_log_sums", counted)
-        for y in (3, 20, 146):
-            width = y + 1
-            per_block = numerics.BLOCK_TERMS // width**2
-            for levels in (9, 40):
-                weights = np.zeros(146 + levels)
-                weights[146:] = 1.0 / levels
-                monkeypatch.setattr(
-                    posterior, "n_posterior", lambda *args, **kwargs: Pmf(0, weights, 0.0)
-                )
-                blocks.clear()
-                try:
-                    predictive_singleton_pmf(PredictiveQuery(146, 200, y, ModelParams(9.5, 0.34)))
-                except NumericalConditioningError:
-                    pass  # a level's law may be refused; the table is built first
-                # at y = 3 the whole table is one block; at y = 20 each
-                # block holds as many whole levels as BLOCK_TERMS allows; at
-                # y = 146 no level fits, and each is split into runs of rows
-                if per_block:
-                    assert len(blocks) == math.ceil(levels / per_block) < levels
-                else:
-                    runs = math.ceil(width / (numerics.BLOCK_TERMS // width))
-                    assert len(blocks) == levels * runs > levels
-                assert max(blocks) <= numerics.BLOCK_TERMS
+            assert gt_singleton_prob(m, y, params, method="closed") == closed
+            assert abs(gt_singleton_prob(m, y, params) - mixture) <= 1e-14
 
 
 class TestGoodTuring:
