@@ -365,47 +365,50 @@ def _freq_terms(l: int, levels: np.ndarray, m: int, theta: float) -> np.ndarray:
     with R = m - l y - (l+1) j, P[y | n] = C(n,y) m!/(theta+n)_m sum_j C(n-y,j)
     sum_r p(n-y-j, r) (theta+j)_(R-r)/(R-r)!: j types are drawn more than l times,
     the other n-y-j fewer, r times in all (p of _parts_ratios, size l).  The running
-    sums start at (theta)_n/(theta+m)_n and step along y, j, then r; numerics.blocks
-    cuts the levels, widest first, into runs.  The sums over r and j run left to
-    right, so a row has its bits alone or in any stack.
+    sums start at (theta)_n/(theta+m)_n and step along y, j, then r.  numerics.blocks
+    cuts the levels, widest first, into runs, and a wider level into runs of rows.
+    Sums run left to right, so a row has its bits alone or in any stack.  At l >= 2
+    the sum over r is O(n^3) steps, over an (n, r) table of part-count ratios.
     """
     top = int(levels[-1])
     y, j = np.arange(min(top, m // l) + 1)[:, None], np.arange(min(top, m // (l + 1)) + 1)
-    k, R = np.arange(top), m - l * y - (l + 1) * j
+    k = np.arange(top)
     log_start = np.concatenate(([0.0], np.cumsum(np.log((theta + k) / (theta + k + m)))))
-    # the level-free factors of the steps along y and along j, 0 where j leaves the support
-    big = np.maximum(R[:, :-1], l + 1)
-    y_ratio, j_ratio = 1.0 / (y[:-1, 0] + 1), (big - l) / (j[:-1] + 1) / (theta + j[:-1])
+    y_ratio, cap = 1.0 / (y[:-1, 0] + 1), m - l * y[:-1, 0]  # the step along y, level-free
     for i in range(l):
-        y_ratio *= (R[:-1, 0] - i) / (theta + R[:-1, 0] - i - 1)
-        j_ratio *= (big - i) / (theta + j[:-1] + big - l + i)
-    j_ratio *= R[:, :-1] > l
-    del R, big  # a run's arrays are what the stack holds
+        y_ratio *= (cap - i) / (theta + cap - i - 1)
     parts, order = _parts_ratios(l, top, min((l - 1) * top, m)), levels[::-1]
     table = np.zeros((len(order), len(y)))
     for run in blocks((np.minimum(order, m // l) + 1) * (np.minimum(order, m // (l + 1)) + 1)):
-        n, first = order[run, None, None], int(order[run.start])
+        n, first = order[run, None], int(order[run.start])
         ys, js = min(first, m // l) + 1, min(first, m // (l + 1)) + 1
-        rest = np.maximum(n - y[:ys] - j[:js], 0)  # the types drawn fewer than l times
-        y_steps = rest[:, :-1, 0] * y_ratio[: ys - 1]
-        j_steps = rest[:, :, :-1] * j_ratio[:ys, : js - 1]
-        log_terms = _running_sums(log_start[n[:, 0, 0]], y_steps, j_steps)
-        terms = np.exp(log_terms, out=None if l > 1 else log_terms)  # l >= 2 steps along r
-        for r in range(1, min((l - 1) * first, m) + 1):
-            gap = m - l * y[:ys] - (l + 1) * j[:js] - r
-            r_steps = parts[rest, r - 1] * np.maximum(gap + 1, 0)
-            r_steps /= theta + j[:js] + np.maximum(gap, 0)
-            log_terms += np.log(r_steps)
-            terms += np.exp(log_terms)
-        table[run, :ys] = np.cumsum(terms, axis=2, out=terms)[:, :, -1]
-        del log_terms, rest, terms, y_steps, j_steps  # before the next run's arrays are made
+        y_steps = np.maximum(n - y[: ys - 1, 0], 0) * y_ratio[: ys - 1]
+        head = log_start[n[:, 0]]  # the running sum at each run of rows' first row
+        for rows in blocks(np.full(ys, len(n) * js)):
+            a, b, R = rows.start, rows.stop, m - l * y[rows] - (l + 1) * j[:js]
+            big = np.maximum(R[:, :-1], l + 1)  # the step along j is 0 past the support
+            j_ratio = (big - l) / (j[: js - 1] + 1) / (theta + j[: js - 1])
+            for i in range(l):
+                j_ratio *= (big - i) / (theta + j[: js - 1] + big - l + i)
+            j_ratio *= R[:, :-1] > l
+            rest = np.maximum(n[:, :, None] - y[rows] - j[:js], 0)  # types drawn < l times
+            log_terms = _running_sums(head, y_steps[:, a : b - 1], rest[:, :, :-1] * j_ratio)
+            head = log_terms[:, -1, 0] + np.log(y_steps[:, b - 1]) if b < ys else None
+            terms = np.exp(log_terms, out=None if l > 1 else log_terms)  # l >= 2 steps along r
+            for r in range(1, min((l - 1) * (first - a), m - l * a) + 1):
+                r_steps = parts[rest, r - 1] * np.maximum(R - r + 1, 0)
+                r_steps /= theta + j[:js] + np.maximum(R - r, 0)
+                log_terms += np.log(r_steps)
+                terms += np.exp(log_terms)
+            table[run, a:b] = np.cumsum(terms, axis=2, out=terms)[:, :, -1]
+            del R, big, j_ratio, rest, log_terms, terms  # before the next rows' arrays
     return table[::-1]
 
 
 def _freq_rows(l: int, levels: np.ndarray, m: int, theta: float) -> np.ndarray:
     """The probs of r_freq_pmf(l, n, m, theta) for every n of the increasing
     array levels, as one read-only table, each row padded with zeros past its law."""
-    return Pmf.from_rows(_freq_terms(l, levels, m, theta), "frequency-level type count")
+    return Pmf.from_rows(_freq_terms(l, levels, m, theta), "frequency-level type count")[0]
 
 
 def r_freq_pmf(l: int, n: int, m: int, theta: float) -> Pmf:

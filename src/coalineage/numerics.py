@@ -188,12 +188,12 @@ def blocks(sizes) -> list[slice]:
 def _parts_ratios(size: int, count: int, top: int) -> np.ndarray:
     """p(k, r + 1) / p(k, r), k = 0..count, r = 0..top-1 (0 where p(k, r + 1) is), with
     p(k, r) the ways to write r as k ordered parts in 0..size-1, from exact integers."""
-    row, ratios = [1] + [0] * top, []
-    for _ in range(count + 1 if top else 0):
-        ratios.append([b / a if b else 0.0 for a, b in zip(row, row[1:])])
+    row, ratios = [1] + [0] * top, np.zeros((count + 1, top))
+    for k in range(count + 1 if top else 0):
+        ratios[k] = [b / a if b else 0.0 for a, b in zip(row, row[1:])]
         prefix = list(itertools.accumulate(row))
         row = [s - prefix[r - size] if r >= size else s for r, s in enumerate(prefix)]
-    return np.array(ratios).reshape(count + 1, top)
+    return ratios
 
 
 @np.errstate(divide="ignore")  # a zero step is log 0

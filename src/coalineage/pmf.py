@@ -99,22 +99,20 @@ class Pmf:
         return cls._mass_checked(values, support_offset, renormalize, context)
 
     @classmethod
-    def from_rows(cls, values, context: str) -> np.ndarray:
+    def from_rows(cls, values, context: str) -> tuple[np.ndarray, list[float]]:
         """Each row of a (rows x entries) table of nonnegative floats, mass-checked and
-        renormalized, as one read-only table.  A row is totalled left to right, so
-        zeros that pad it add nothing: it has the same bits alone or in any table."""
+        renormalized, as one read-only table, and each row's mass defect.  A row is totalled
+        left to right, so zeros that pad it add nothing: its bits are the same in any table."""
         totals = np.cumsum(values, axis=1)[:, -1:]
-        for total in totals.ravel().tolist():
-            _mass_defect(total, context)
+        defects = [_mass_defect(total, context) for total in totals.ravel().tolist()]
         probs = values / totals
         probs.flags.writeable = False  # read-only, as every Pmf's probs are
-        return probs
+        return probs, defects
 
     @classmethod
     def from_row(cls, values, support_offset: int, context: str) -> "Pmf":
         """The Pmf of one row of nonnegative floats, with the bits from_rows gives it."""
-        (probs,) = cls.from_rows(np.asarray(values)[None], context)
-        defect = _mass_defect(float(np.cumsum(values)[-1]), context)
+        (probs,), (defect,) = cls.from_rows(np.asarray(values)[None], context)
         return cls(support_offset, probs, defect, defect > 1e-15)
 
     @classmethod

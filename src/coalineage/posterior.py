@@ -281,7 +281,7 @@ def predictive_singleton_pmf(query: PredictiveQuery, method: str = "mixture") ->
     if method == "mixture":
         weights = n_posterior(m, y, params, mode="singleton").probs
         levels = np.flatnonzero(weights)
-        table = Pmf.from_rows(_hit_terms(1, theta + levels + m, m_prime, y), "hit type count")
+        table = Pmf.from_rows(_hit_terms(1, theta + levels + m, m_prime, y), "hit type count")[0]
         return Pmf.from_mixture(weights[levels], table, 0, table.shape[1], "hit singleton count")
     # row k, column n >= y: the chance that k given singleton lines escape all m' draws
     escape = _log_escape(theta + np.arange(y, m + m_prime + 1) + m, m_prime, y, 2)

@@ -12,7 +12,8 @@ singleton posterior's one-pass table, and the moment-by-moment closed
 singleton kernel for its stacked moments.  The frequency-l urn law and
 the hit law have two references each: their inclusion-exclusion
 definitions in exact rationals, and their positive forms step by step in
-the arithmetic of theta, exact in rationals and to 50 digits in mpmath.
+the arithmetic of theta, exact in rationals and, for the hit law, to 50
+digits in mpmath.
 The one-row signed sum, the per-entry gate and the row-by-row line-count
 series are the references for the production block kernels and array
 gates.  The block-process step, the event-by-event block process and the
@@ -343,15 +344,21 @@ def parts_counts(size: int, count: int, top: int) -> list[list[int]]:
 def freq_law_definition(l: int, n: int, m: int, theta: Fraction) -> list[Fraction]:
     """P[exactly y of n seed types are drawn l times in m draws], y = 0..min(n, m // l),
     by inclusion-exclusion over the binomial moments S_i = C(n,i) m!
-    (theta+n-i)_(m-il) / ((m-il)! (theta+n)_m), in exact rationals."""
-    top = min(n, m // l)
-    moments = [
-        math.comb(n, i) * math.factorial(m) * rising(theta + n - i, m - i * l)
-        / (math.factorial(m - i * l) * rising(theta + n, m))
+    (theta+n-i)_(m-il) / ((m-il)! (theta+n)_m), in exact rationals.  With
+    theta = p/q every S_i is an integer over the one denominator q^m (theta+n)_m,
+    so the alternating sums run over integers."""
+    p, q, top = theta.numerator, theta.denominator, min(n, m // l)
+    denominator = math.prod(range(p + q * n, p + q * (n + m), q))
+    numerators = [
+        math.comb(n, i) * math.perm(m, i * l) * q ** (i * l)
+        * math.prod(range(p + q * (n - i), p + q * (n - i + m - i * l), q))
         for i in range(top + 1)
     ]
     return [
-        sum((-1) ** (i - y) * math.comb(i, y) * moments[i] for i in range(y, top + 1))
+        Fraction(
+            sum((-1) ** (i - y) * math.comb(i, y) * numerators[i] for i in range(y, top + 1)),
+            denominator,
+        )
         for y in range(top + 1)
     ]
 

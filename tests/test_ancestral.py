@@ -346,17 +346,14 @@ class TestSeedTypeLaws:
     @pytest.mark.parametrize("l", [1, 2, 3])
     @pytest.mark.parametrize("m", [20, 146, 1000])
     def test_r_freq_matches_entry_by_entry_reference(self, l, m):
-        # every entry within 1e-12 of the positive form taken step by step at
-        # 50 digits; a lone level's law has the bits of its one-level table.
-        # At l >= 2 the reference's sum over r grows as n**3, so its largest
-        # levels run where m caps it
-        points = [(0, 0.5), (1, 20.0), (7, 9.5), (7, 0.5), (20, 20.0), (50, 0.5), (200, 9.5)]
-        for n, theta in points if l == 1 or m == 20 else points[:5]:
+        # every entry, tail entries down to 1e-235 included, within a relative
+        # 1e-12 of the exact law; a lone level's law has the bits of its
+        # one-level table
+        points = [(n, theta) for n in (0, 1, 7, 50) for theta in (0.5, 9.5, 20.0)]
+        for n, theta in points + [(20, 20.0), (200, 9.5)]:
             got = r_freq_pmf(l, n, m, theta).probs
-            with mpmath.workdps(50):
-                want = freq_law_by_steps(l, n, m, mpmath.mpf(theta))
-            assert len(got) == len(want) == min(n, m // l) + 1
-            assert max(abs(float(w - p)) for p, w in zip(got, want)) <= 1e-12, (n, theta)
+            want = [float(p) for p in freq_law_definition(l, n, m, Fraction(theta))]
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0, err_msg=f"{n}, {theta}")
             (row,) = ancestral._freq_rows(l, np.array([n]), m, theta)
             assert got.tobytes() == row.tobytes() and not row.flags.writeable
 

@@ -49,9 +49,10 @@ def test_from_rows_gives_a_row_its_bits_alone_or_padded():
     row *= (1.0 + 1e-9) / row.sum()
     table = np.zeros((3, 40))
     table[0], table[1, :9], table[2, :4] = 1 / 40, row, 0.25
-    probs = Pmf.from_rows(table, "test")
+    probs, defects = Pmf.from_rows(table, "test")
     law = Pmf.from_row(row, 2, "test")
     assert probs[1, :9].tobytes() == law.probs.tobytes() and not probs[1, 9:].any()
+    assert defects[1] == law.mass_defect and len(defects) == 3
     assert law.support_offset == 2 and law.renormalized and 0 < law.mass_defect < 2e-9
     assert not probs.flags.writeable and not law.probs.flags.writeable
     with pytest.raises(NumericalConditioningError, match="test: mass defect"):
