@@ -353,6 +353,7 @@ class TestSeedTypeLaws:
         for n, theta in points + [(20, 20.0), (200, 9.5)]:
             got = r_freq_pmf(l, n, m, theta).probs
             want = [float(p) for p in freq_law_definition(l, n, m, Fraction(theta))]
+            assert len(got) == len(want) == min(n, m // l) + 1
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0, err_msg=f"{n}, {theta}")
             (row,) = ancestral._freq_rows(l, np.array([n]), m, theta)
             assert got.tobytes() == row.tobytes() and not row.flags.writeable
