@@ -164,7 +164,7 @@ def _line_count_entries(
     return sums, log_peaks
 
 
-def _tail_closed(values: list[float]) -> bool:
+def _tail_closed(values: np.ndarray) -> bool:
     """True when the entries past the mode bound the remaining mass.
 
     The decay factor e^{-n(n-1+theta)t/2} makes entry ratios shrink with
@@ -184,7 +184,9 @@ def _tail_closed(values: list[float]) -> bool:
 
 @lru_cache(maxsize=128)
 def _ancestral_values(params: ModelParams, n_max: int | None) -> np.ndarray:
-    """Vector d_0..d_N.  n_max=None grows N adaptively."""
+    """Vector d_0..d_N: one kernel call and one gate over n = 0..min(n_max, top), with
+    exact zeros past the series' last index top.  n_max=None starts N + 1 at
+    min(ceil(theta + 2) + 10, top) + 1 and grows it by half until the tail closes."""
     if params.t == 0.0:
         raise ValueError("the ancestral line count starts at infinity; t must be > 0")
     top = _last_index(params)
@@ -193,26 +195,22 @@ def _ancestral_values(params: ModelParams, n_max: int | None) -> np.ndarray:
             f"the ancestral series needs {top} terms, more than {MAX_ANCESTRAL_N}; "
             "t is too small for the series representation"
         )
-    log_w = -log_factorials(top + 1)
-
-    def entries(lo: int, hi: int) -> list[float]:
-        return reliable_values(
-            *_line_count_entries(log_w, range(lo, hi), params),
-            lambda r: f"ancestral entry d_{lo + r}",
-            "t is too small for the series",
-        ).tolist()
-
-    # rows past top are exact zeros: none is summed, and the adaptive law closes by n = top + 1
+    if n_max is not None and not 0 <= n_max <= MAX_TRUNCATION:
+        raise ValueError(f"n_max must be in [0, {MAX_TRUNCATION}], got {n_max}")
+    rows = range(top + 1 if n_max is None else min(n_max, top) + 1)
+    entries = reliable_values(
+        *_line_count_entries(-log_factorials(top + 1), rows, params),
+        lambda r: f"ancestral entry d_{r}",
+        "t is too small for the series",
+    )
     if n_max is None:
-        values = entries(0, min(math.ceil(params.theta + 2) + 10, top) + 1)
-        while not _tail_closed(values):
-            values.extend(entries(len(values), math.ceil(len(values) * 1.5)))
-        values = np.array(values)
+        size = min(math.ceil(params.theta + 2) + 10, top) + 1
+        while size <= top + 1 and not _tail_closed(entries[:size]):
+            size = math.ceil(size * 1.5)
     else:
-        if not 0 <= n_max <= MAX_TRUNCATION:
-            raise ValueError(f"n_max must be in [0, {MAX_TRUNCATION}], got {n_max}")
-        values = np.zeros(n_max + 1)
-        values[: min(n_max, top) + 1] = entries(0, min(n_max, top) + 1)
+        size = n_max + 1
+    values = np.zeros(size)
+    values[: len(rows)] = entries[:size]
     values.flags.writeable = False  # the cached array is shared by every caller
     return values
 

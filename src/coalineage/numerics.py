@@ -4,13 +4,14 @@ The line-count series and the closed singleton routes are alternating sums
 whose terms can dwarf the result: their terms are taken in log space with
 explicit signs and summed by signed_log_sums (math.fsum of each row shifted
 by its peak), and reliable_values refuses a result whose digits are
-rounding noise.  exact_count_sums is the one inclusion-exclusion kernel,
-and moment_count_sums takes it over signed moments.  The mixture routes'
-urn rows and hit tables are sums of positive terms, each one running sum
-of logs of O(1) step ratios (_running_sums, with _parts_ratios).  Every
-kernel cuts its work into calls of at most BLOCK_TERMS floats by one rule,
-blocks.  Every log k! is read from one table kept for the process,
-log_factorials; lgamma(theta + k) tables are built per call.
+rounding noise.  moment_count_sums is the one inclusion-exclusion kernel:
+one signed pass over signed binomial moments, each entry's log peak fused
+from the same terms.  The mixture routes' urn rows and hit tables are sums
+of positive terms, each one running sum of logs of O(1) step ratios
+(_running_sums, with _parts_ratios).  Every kernel cuts its work into calls
+of at most BLOCK_TERMS floats by one rule, blocks.  Every log k! is read
+from log_factorials, the one table this module keeps for the process;
+lgamma(theta + k) tables are built per call.
 """
 
 from __future__ import annotations
@@ -51,8 +52,8 @@ class SignedLogValue:
     """A real number stored as (sign, log magnitude).
 
     ``sign`` is -1, 0, or +1, and ``log_magnitude`` is -inf exactly when
-    the sign is 0.  This is the currency of every series term here: signs
-    alternate structurally, magnitudes span hundreds of orders.
+    the sign is 0.  ancestral.rho returns its series coefficients so, as their
+    signs alternate and magnitudes span hundreds of orders; kernels use arrays.
     """
 
     sign: int
@@ -165,10 +166,6 @@ def signed_log_sums(log_terms: np.ndarray, signs: np.ndarray) -> tuple[np.ndarra
     return sums.reshape(log_peaks.shape), log_peaks
 
 
-# log (k-z)! (+inf at k < z) and (-1)^(k-z) over the largest (z, k) block built so far, up
-# to PASCAL_KEEP a side (1 MB): a smaller block is its corner, a larger one serves its call
-_PASCAL: list = []
-PASCAL_KEEP = 256
 # floats in one kernel call (32 KB, so a stack's transients stay near one block's)
 BLOCK_TERMS = 1 << 12
 
@@ -208,57 +205,52 @@ def _running_sums(log_start: np.ndarray, outer: np.ndarray, inner: np.ndarray) -
     return np.cumsum(log_terms, axis=2, out=log_terms)
 
 
-def exact_count_sums(log_moments: np.ndarray, lo: int) -> tuple[np.ndarray, np.ndarray]:
-    """signed_log_sums results for P[exactly z of N events], z = lo..N.
-
-    log_moments[k] = log S_k, k = 0..N, where the binomial moment S_k sums
-    the chance of every k of the events at once; entries below lo are not
-    read.  Entry z is the sum over k = z..N of (-1)^(k-z) C(k,z) S_k, each
-    term taken as k! S_k / (z! (k-z)!), so its log peak is the largest
-    log C(k,z) + log S_k.
-
-    log_moments may also be a stack of rows, with results stacked the same way,
-    its (row, z, k) terms cut by blocks into runs of rows or of z; an entry has
-    its bits in any stack, as a -inf moment's terms are exact zeros.
-    """
-    top = log_moments.shape[-1]
-    block = _PASCAL[0] if _PASCAL else None
-    log_fact = log_factorials(top)
-    if block is None or len(block[0]) < top:
-        gap = np.arange(top) - np.arange(top)[:, None]
-        gap_log_fact = np.where(gap >= 0, log_fact[np.abs(gap)], math.inf)
-        block = (gap_log_fact, np.where(gap % 2 == 0, 1.0, -1.0))
-        if top <= PASCAL_KEEP:
-            _PASCAL[:] = [block]
-    k = slice(lo, top)
-    gap_log_fact, signs = block[0][k, k], block[1][k, k]
-    log_fact = log_fact[k]
-    lead, width = log_moments.shape[:-1], top - lo
-    weighted = (log_moments[..., k].reshape(math.prod(lead), width) + log_fact)[:, None, :]
-    sums, log_peaks = np.empty((2, len(weighted), width))
-    for rows in blocks(np.full(len(weighted), width**2)):
-        for z in blocks(np.full(width, (rows.stop - rows.start) * width)):
-            log_terms = weighted[rows] - log_fact[z, None]
-            log_terms -= gap_log_fact[z]  # in place: one array until it is shifted
-            sums[rows, z], log_peaks[rows, z] = signed_log_sums(log_terms, signs[z])
-    return sums.reshape(*lead, width), log_peaks.reshape(*lead, width)
-
-
 def moment_count_sums(
     sums: np.ndarray, log_peaks: np.ndarray, lo: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """exact_count_sums over binomial moments that are signed_log_sums results.
+    """signed_log_sums results for P[exactly z of N events], z = lo..N, from the binomial
+    moments S_k, k = 0..N, given as signed_log_sums results (S_k = sums[k] e^log_peaks[k]).
 
-    A moment that rounds to zero or below counts as zero.  Entry z's log
-    peak is the largest log C(k,z) plus moment k's own log peak (a second
-    call, over the peaks), so reliable_values reads it as one fused sum;
-    its sum is rescaled to match, and an entry with no terms stays 0.  A
-    stack of moment rows gives a stack of entry rows, as in exact_count_sums.
+    S_k sums the chance of every k of the events at once; moments below lo are not
+    read, and one that rounds to zero or below counts as zero.  Entry z is the sum over
+    k = z..N of (-1)^(k-z) C(k,z) S_k, each term taken as k! S_k / (z! (k-z)!), in one
+    signed pass.  Its log peak is fused: the largest log C(k,z) plus moment k's own log
+    peak, the same terms built over the peaks, so reliable_values reads it as one sum;
+    its sum is rescaled to match, and an entry with no terms stays 0.
+
+    The moments may also be a stack of rows, with results stacked the same way, its
+    (row, z, k) terms cut by blocks into runs of rows or of z; an entry has its bits in
+    any stack, as a -inf moment's terms are exact zeros.
     """
+    top = sums.shape[-1]
+    lead, width = sums.shape[:-1], top - lo
+    log_fact = log_factorials(top)
+    # log (k-z)! (+inf at k < z) and (-1)^(k-z) as (z, k) views of 1-D float tables over
+    # k - z: row z starts at entry width - 1 - z, so no (z, k) block is built
+    gap = np.arange(1 - width, width)
+    gap_log_fact, gap_signs = (
+        np.ndarray((width, width), float, table, max(width - 1, 0) * 8, (-8, 8))
+        for table in (np.where(gap >= 0, log_fact[np.abs(gap)], math.inf), (-1.0) ** gap)
+    )
+    log_fact = log_fact[lo:]
     log_moments = np.log(sums, out=np.full(sums.shape, -math.inf), where=sums > 0) + log_peaks
-    sums, peaks = exact_count_sums(log_moments, lo)
-    entry_peaks = exact_count_sums(log_peaks, lo)[1]
-    return sums * np.exp(peaks - np.where(peaks > -math.inf, entry_peaks, 0.0)), entry_peaks
+    weighted, peak_weighted = (
+        (part[..., lo:].reshape(math.prod(lead), width) + log_fact)[:, None, :]
+        for part in (log_moments, log_peaks)
+    )
+    sums, log_peaks = np.empty((2, len(weighted), width))
+    for rows in blocks(np.full(len(weighted), width**2)):
+        for z in blocks(np.full(width, (rows.stop - rows.start) * width)):
+            # in place: one array holds the peak terms, then the signed terms
+            terms = peak_weighted[rows] - log_fact[z, None]
+            terms -= gap_log_fact[z]
+            peaks = terms.max(axis=-1, initial=-math.inf)
+            np.subtract(weighted[rows], log_fact[z, None], out=terms)
+            terms -= gap_log_fact[z]
+            row_sums, row_peaks = signed_log_sums(terms, gap_signs[z])
+            shift = np.where(row_peaks > -math.inf, peaks, 0.0)
+            sums[rows, z], log_peaks[rows, z] = row_sums * np.exp(row_peaks - shift), peaks
+    return sums.reshape(*lead, width), log_peaks.reshape(*lead, width)
 
 
 def reliable_values(

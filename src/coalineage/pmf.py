@@ -79,16 +79,15 @@ class Pmf:
 
     @classmethod
     def from_signed_sums(
-        cls, sums: np.ndarray, log_peaks: np.ndarray, support_offset: int = 0,
-        renormalize: bool = True, context: str = "pmf",
+        cls, sums: np.ndarray, log_peaks: np.ndarray, support_offset: int = 0, context: str = "pmf"
     ) -> "Pmf":
         """Assemble a Pmf from the (sums, log_peaks) arrays of numerics.signed_log_sums.
 
         Entry i is sums[i] * exp(log_peaks[i]).  Every entry passes
         numerics.reliable_values: one entry lost to rounding noise, or negative
         beyond its noise scale, fails the pmf, and the refusal names the first.
-        With renormalize=True the entries are scaled to unit mass and the
-        pre-repair defect is recorded; truncated laws pass renormalize=False.
+        The entries are scaled to unit mass and the pre-repair defect is
+        recorded; truncated laws go through from_floats.
         """
         values = reliable_values(
             sums,
@@ -96,7 +95,7 @@ class Pmf:
             lambda i: f"{context}: entry at {support_offset + i}",
             "use the simulation path for this parameter regime",
         )
-        return cls._mass_checked(values, support_offset, renormalize, context)
+        return cls._mass_checked(values, support_offset, True, context)
 
     @classmethod
     def from_rows(cls, values, context: str) -> tuple[np.ndarray, list[float]]:

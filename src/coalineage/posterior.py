@@ -159,23 +159,30 @@ def _hit_terms(l: int, totals: np.ndarray, m_prime: int, y: int) -> np.ndarray:
     A hit line's count has generating function (1-z)^-w - 1 = z sum_(i=1..w) (1-z)^-i,
     so with beta = b - w y, P[x] = C(y,x) m'!/((m'-x)! (b)_m') sum_K p(x, K)
     (beta + w x - K)_(m'-x), p of _parts_ratios (size w).  The running sums start
-    at (beta)_(wy)/(beta+m')_(wy) and step along x, then K, in runs cut by blocks.
+    at (beta)_(wy)/(beta+m')_(wy) and step along x, then K, in runs of rows cut by
+    blocks, and a wider row in runs along x.
     """
     w, xs = 1 + l, min(y, m_prime) + 1
     x, steps = np.arange(xs)[:, None], np.arange(l * (xs - 1))
     parts = _parts_ratios(w, xs - 1, len(steps))
-    # K clipped to l x - 1, past which p is 0, keeps every factor positive
-    gap = w * x - np.minimum(steps, l * x - 1) - 1
     table = np.empty((len(totals), xs))
     for run in blocks(np.full(len(totals), w * y + xs * (len(steps) + 1))):
         beta, a = totals[run, None] - w * y, x[:-1, 0]
         ratio = (y - a) / (a + 1) * (m_prime - a)
         for i in range(w):
             ratio = ratio * (beta + l * a + m_prime + i if i < l else 1.0) / (beta + w * a + i)
-        u, k = beta[:, :, None] + gap, np.arange(w * y)
-        log_start = np.log((beta + k) / (beta + k + m_prime)).sum(axis=1)
-        log_terms = _running_sums(log_start, ratio, parts * u / (u + m_prime - x))
-        table[run] = np.exp(log_terms, out=log_terms).sum(axis=2)
+        k = np.arange(w * y)
+        head = np.log((beta + k) / (beta + k + m_prime)).sum(axis=1)
+        # a row wider than a block is cut along x, each run starting where the last ended
+        for cut in blocks(np.full(xs, len(beta) * (len(steps) + 1))):
+            # K clipped to l x - 1, past which p is 0, keeps every factor positive
+            gap = w * x[cut] - np.minimum(steps, l * x[cut] - 1) - 1
+            u = beta[:, :, None] + gap
+            inner = parts[cut] * u / (u + m_prime - x[cut])
+            log_terms = _running_sums(head, ratio[:, cut.start : cut.stop - 1], inner)
+            if cut.stop < xs:
+                head = log_terms[:, -1, 0] + np.log(ratio[:, cut.stop - 1])
+            table[run, cut] = np.exp(log_terms, out=log_terms).sum(axis=2)
     return table
 
 

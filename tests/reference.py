@@ -16,7 +16,11 @@ the arithmetic of theta, exact in rationals and, for the hit law, to 50
 digits in mpmath.
 The one-row signed sum, the per-entry gate and the row-by-row line-count
 series are the references for the production block kernels and array
-gates.  The block-process step, the event-by-event block process and the
+gates.  Inclusion-exclusion in two passes over a whole (z, k) block, the
+second read only for its peaks, is the reference for the one-pass
+moment_count_sums, and the population law summed and gated chunk by chunk
+as its support grows is the reference for its one kernel call.  The
+block-process step, the event-by-event block process and the
 death-process sampler are the oracles the factored production simulator
 is compared against.  The forward urn samplers draw from the law that
 the exact enumeration tabulates, so the two check each other.
@@ -33,10 +37,14 @@ import numpy as np
 
 from coalineage import posterior
 from coalineage.ancestral import (
+    MAX_ANCESTRAL_N,
+    MAX_TRUNCATION,
     ModelParams,
     _ancestral_values,
     _last_index,
+    _line_count_entries,
     _log_abs_rho,
+    _tail_closed,
     r_freq_pmf,
 )
 from coalineage.errors import NumericalConditioningError
@@ -46,10 +54,11 @@ from coalineage.numerics import (
     ENTRY_NOISE_BUDGET,
     LOG_NOISE_SHIFT,
     SignedLogValue,
+    blocks,
     log_factorials,
     log_gamma_table,
     log_rising_factorial,
-    moment_count_sums,
+    reliable_values,
     signed_log_sums,
 )
 from coalineage.pmf import Pmf
@@ -507,7 +516,73 @@ def singleton_closed_entries_by_moment(
         sums[:, j], log_peaks[:, j] = signed_log_sums(
             log_terms + extra_log[:, n], np.where((i + n) % 2 == 0, 1.0, -1.0)
         )
-    return moment_count_sums(sums, log_peaks, lo)
+    return moment_count_sums_two_pass(sums, log_peaks, lo)
+
+
+def exact_count_sums_by_block(log_moments: np.ndarray, lo: int) -> tuple[np.ndarray, np.ndarray]:
+    """signed_log_sums results for P[exactly z of N events], z = lo..N, from log binomial
+    moments log S_k, k = 0..N: the sum over k = z..N of (-1)^(k-z) k! S_k / (z! (k-z)!),
+    its log (k-z)! and (-1)^(k-z) read from a whole (z, k) block built per call, and its
+    (row, z, k) terms cut by numerics.blocks into runs of rows or of z."""
+    top = log_moments.shape[-1]
+    log_fact = log_factorials(top)
+    gap = np.arange(top) - np.arange(top)[:, None]
+    k = slice(lo, top)
+    gap_log_fact = np.where(gap >= 0, log_fact[np.abs(gap)], math.inf)[k, k]
+    signs = np.where(gap % 2 == 0, 1.0, -1.0)[k, k]
+    log_fact = log_fact[k]
+    lead, width = log_moments.shape[:-1], top - lo
+    weighted = (log_moments[..., k].reshape(math.prod(lead), width) + log_fact)[:, None, :]
+    sums, log_peaks = np.empty((2, len(weighted), width))
+    for rows in blocks(np.full(len(weighted), width**2)):
+        for z in blocks(np.full(width, (rows.stop - rows.start) * width)):
+            log_terms = weighted[rows] - log_fact[z, None]
+            log_terms -= gap_log_fact[z]
+            sums[rows, z], log_peaks[rows, z] = signed_log_sums(log_terms, signs[z])
+    return sums.reshape(*lead, width), log_peaks.reshape(*lead, width)
+
+
+def moment_count_sums_two_pass(
+    sums: np.ndarray, log_peaks: np.ndarray, lo: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """numerics.moment_count_sums in two exact_count_sums_by_block passes: one over the
+    moments, and a second over their log peaks, read only for its own log peaks."""
+    log_moments = np.log(sums, out=np.full(sums.shape, -math.inf), where=sums > 0) + log_peaks
+    sums, peaks = exact_count_sums_by_block(log_moments, lo)
+    entry_peaks = exact_count_sums_by_block(log_peaks, lo)[1]
+    return sums * np.exp(peaks - np.where(peaks > -math.inf, entry_peaks, 0.0)), entry_peaks
+
+
+def ancestral_values_by_chunk(params: ModelParams, n_max: int | None) -> np.ndarray:
+    """ancestral._ancestral_values, uncached, with the adaptive support summed and gated
+    chunk by chunk: each growth step is its own _line_count_entries call over its new rows."""
+    if params.t == 0.0:
+        raise ValueError("the ancestral line count starts at infinity; t must be > 0")
+    top = _last_index(params)
+    if top > MAX_ANCESTRAL_N:
+        raise NumericalConditioningError(
+            f"the ancestral series needs {top} terms, more than {MAX_ANCESTRAL_N}; "
+            "t is too small for the series representation"
+        )
+    log_w = -log_factorials(top + 1)
+
+    def entries(lo: int, hi: int) -> list[float]:
+        return reliable_values(
+            *_line_count_entries(log_w, range(lo, hi), params),
+            lambda r: f"ancestral entry d_{lo + r}",
+            "t is too small for the series",
+        ).tolist()
+
+    if n_max is None:
+        values = entries(0, min(math.ceil(params.theta + 2) + 10, top) + 1)
+        while not _tail_closed(np.array(values)):
+            values.extend(entries(len(values), math.ceil(len(values) * 1.5)))
+        return np.array(values)
+    if not 0 <= n_max <= MAX_TRUNCATION:
+        raise ValueError(f"n_max must be in [0, {MAX_TRUNCATION}], got {n_max}")
+    values = np.zeros(n_max + 1)
+    values[: min(n_max, top) + 1] = entries(0, min(n_max, top) + 1)
+    return values
 
 
 def log_escape_by_step(b: float, m_prime: int, y: int, weight: int) -> np.ndarray:

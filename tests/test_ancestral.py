@@ -37,6 +37,7 @@ from coalineage.numerics import (
 from coalineage.pmf import Pmf
 
 from reference import (
+    ancestral_values_by_chunk,
     ancestral_values_by_row,
     lineage_entries_by_row,
     mixture_by_level,
@@ -485,7 +486,7 @@ class TestSingletonLineagePmf:
             assert closed.tv_distance(singleton_lineage_pmf(m, params)) <= 1e-8
 
     def test_both_routes_match_mpmath_mixture_series(self):
-        # the closed route sums through numerics.exact_count_sums and the
+        # the closed route sums through numerics.moment_count_sums and the
         # mixture through positive urn rows, so the reference takes neither:
         # 50-digit population series, and the urn law through weak
         # compositions
@@ -724,6 +725,26 @@ class TestBlockKernels:
                 )
 
     @pytest.mark.parametrize("theta", KERNEL_THETA)
+    def test_population_law_matches_chunked_reference(self, theta):
+        # one kernel call and one gate over every row give the bits of the law
+        # summed and gated chunk by chunk as its support grows, adaptive or
+        # truncated, and the same refusals: type, message and ratio
+        def outcome(compute):
+            try:
+                return compute().tobytes()
+            except (NumericalConditioningError, ValueError) as err:
+                return type(err).__name__, str(err), getattr(err, "cancellation_ratio", None)
+
+        refused = 0
+        for t in (0.05, 0.08, 0.1, *KERNEL_T):
+            params = ModelParams(theta, t)
+            for n_max in (None, 0, 3, 40, 200, -1):
+                got = outcome(lambda: _ancestral_values.__wrapped__(params, n_max))
+                assert got == outcome(lambda: ancestral_values_by_chunk(params, n_max)), (t, n_max)
+                refused += isinstance(got, tuple) and got[0] == "NumericalConditioningError"
+        assert refused
+
+    @pytest.mark.parametrize("theta", KERNEL_THETA)
     def test_refusals_match_row_reference(self, theta):
         params = ModelParams(theta, 0.05)
         sample = refusal(
@@ -748,7 +769,6 @@ class TestBlockKernels:
         # run where they are affordable, m <= 20.
         for cached in (_ancestral_values, posterior.n_posterior):
             cached.cache_clear()
-        numerics._PASCAL.clear()
         numerics._LOG_FACTORIALS.clear()
         with warnings.catch_warnings():
             warnings.simplefilter("error")

@@ -1,5 +1,5 @@
 """The package's memoized results, kept to the two that callers share, and
-its module-level tables, kept to the three it needs."""
+its module-level tables, kept to the two it needs."""
 
 import collections
 import importlib
@@ -36,5 +36,4 @@ def test_only_the_known_tables_are_kept_at_module_level():
     assert kept == {
         "coalineage.datasets._ALLOWED_KEYS",
         "coalineage.numerics._LOG_FACTORIALS",
-        "coalineage.numerics._PASCAL",
     }

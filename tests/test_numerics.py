@@ -23,16 +23,17 @@ from coalineage.ancestral import (
 from coalineage.errors import NumericalConditioningError
 from coalineage.numerics import (
     SignedLogValue,
-    exact_count_sums,
     log_factorials,
     log_gamma_table,
     log_rising_factorial,
+    moment_count_sums,
     reliable_values,
     signed_log_sums,
 )
 from coalineage.posterior import PredictiveQuery, predictive_singleton_pmf
 from reference import (
     log_falling_factorial,
+    moment_count_sums_two_pass,
     signed_log_sum,
     signless_stirling1,
     stirling2,
@@ -226,15 +227,15 @@ class TestSignedLogSums:
 
 
 class TestExactCountSums:
+    """moment_count_sums over unit moment sums, where each moment is its log."""
+
     def test_matches_exact_inclusion_exclusion(self):
         # binomial moments S_k of N independent events are the elementary
         # symmetric sums of their chances, so the exact count law is known
         # twice over: by the product DP and by inclusion-exclusion in
         # Fractions.  The kernel must match it for every size and every lo,
-        # whether its Pascal block was just grown or is the corner of a
-        # larger one.
+        # as sizes grow and shrink again.
         rng = np.random.default_rng(11)
-        numerics._PASCAL.clear()
         for size in [*range(1, 13), *range(12, 0, -1)]:
             chances = [Fraction(int(rng.integers(1, 64)), 64) for _ in range(size)]
             law, moments = [Fraction(1)], [Fraction(1)]
@@ -248,7 +249,7 @@ class TestExactCountSums:
                     for z in range(lo, size + 1)
                 ]
                 assert exact == law[lo:]
-                sums, log_peaks = exact_count_sums(log_moments, lo)
+                sums, log_peaks = moment_count_sums(np.ones(size + 1), log_moments, lo)
                 assert len(sums) == size + 1 - lo
                 got = sums * np.exp(log_peaks)
                 # within a few dozen ulps of the largest term
@@ -257,7 +258,6 @@ class TestExactCountSums:
                     full = sums
                 # rows past lo are the same sums, bit for bit
                 assert sums.tolist() == full[lo:].tolist()
-        assert len(numerics._PASCAL[0][0]) == 13
 
     @given(data=st.data())
     @settings(max_examples=150, deadline=None)
@@ -277,32 +277,55 @@ class TestExactCountSums:
         kept = numerics.BLOCK_TERMS
         numerics.BLOCK_TERMS = block_terms
         try:
-            sums, log_peaks = exact_count_sums(stack, lo)
+            sums, log_peaks = moment_count_sums(np.ones(stack.shape), stack, lo)
         finally:
             numerics.BLOCK_TERMS = kept
         assert sums.shape == log_peaks.shape == (len(lengths), top - lo)
         for r, length in enumerate(lengths):
             width = max(0, length - lo)
             if width:
-                row_sums, row_peaks = exact_count_sums(stack[r, :length], lo)
+                row_sums, row_peaks = moment_count_sums(np.ones(length), stack[r, :length], lo)
                 assert sums[r, :width].tobytes() == row_sums.tobytes()
                 assert log_peaks[r, :width].tobytes() == row_peaks.tobytes()
             # entries past a level's own moments are exact zeros
             assert sums[r, width:].tolist() == [0.0] * (top - lo - width)
             assert log_peaks[r, width:].tolist() == [-math.inf] * (top - lo - width)
         if len(lengths) == 1:
-            row_sums, row_peaks = exact_count_sums(stack[0], lo)
+            row_sums, row_peaks = moment_count_sums(np.ones(top), stack[0], lo)
             assert sums[0].tobytes() == row_sums.tobytes()
             assert log_peaks[0].tobytes() == row_peaks.tobytes()
 
-    def test_kept_pascal_block_is_bounded(self):
-        # a block larger than PASCAL_KEEP a side serves its own call only
-        numerics._PASCAL.clear()
-        exact_count_sums(np.zeros(41), 0)
-        exact_count_sums(np.zeros(1001), 990)
-        (block,) = numerics._PASCAL
-        assert len(block[0]) == 41
-        assert sum(part.nbytes for part in block) < 2**20
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_one_pass_matches_two_passes(self, data):
+        # signed moments with zeros, negatives and -inf peaks, stacked or not,
+        # and lo up to top, where no entry is left: the one signed pass and its
+        # fused peaks give the bits of two passes over a whole (z, k) block
+        top = data.draw(st.integers(0, 24), label="top")
+        lo = data.draw(st.integers(0, top), label="lo")
+        lead = data.draw(st.sampled_from([(), (1,), (3,), (2, 2)]), label="lead")
+        size = math.prod(lead) * top
+        sums = data.draw(
+            st.lists(st.sampled_from([0.0, -1e-17]) | st.floats(-1.0, 1.0), min_size=size,
+                     max_size=size), label="sums",
+        )
+        log_peaks = data.draw(
+            st.lists(st.just(-math.inf) | st.floats(-50.0, 50.0), min_size=size, max_size=size),
+            label="log_peaks",
+        )
+        sums = np.reshape(sums, lead + (top,))
+        log_peaks = np.reshape(log_peaks, lead + (top,))
+        block_terms = data.draw(st.sampled_from([1, 5, 64, numerics.BLOCK_TERMS]), label="block")
+        kept = numerics.BLOCK_TERMS
+        numerics.BLOCK_TERMS = block_terms
+        try:
+            got = moment_count_sums(sums, log_peaks, lo)
+            want = moment_count_sums_two_pass(sums, log_peaks, lo)
+        finally:
+            numerics.BLOCK_TERMS = kept
+        for g, w in zip(got, want):
+            assert g.shape == w.shape == lead + (top - lo,)
+            assert g.tobytes() == w.tobytes()
 
 
 # laws through every kernel that blocks cuts: the line-count series, both

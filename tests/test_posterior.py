@@ -242,6 +242,20 @@ class TestCondRFreq:
         got = cond_r_freq_pmf(1, 80, 146, 200, 40, 9.5).probs
         assert max(abs(p - float(e)) for p, e in zip(got, exact)) <= 1e-13
 
+    def test_wide_row_holds_a_few_blocks(self):
+        # a row of 201 x 201 (x, K) terms, ten blocks, is cut into runs along
+        # x: past its part-count table, its transients stay near a few blocks
+        y = 200
+        assert (y + 1) ** 2 > 8 * numerics.BLOCK_TERMS
+        cond_r_freq_pmf(1, 400, 1000, y, y, 9.5)  # first-call allocations are not counted
+        tracemalloc.start()
+        try:
+            cond_r_freq_pmf(1, 400, 1000, y, y, 9.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < (y + 1) * y * 8 + 12 * 8 * numerics.BLOCK_TERMS
+
     def test_mean_matches_first_moment(self):
         for (l, n, m, m_prime, y, theta) in [
             (1, 6, 5, 3, 2, 1.0),
