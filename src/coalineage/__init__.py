@@ -16,7 +16,9 @@ sequences drawn from a neutral infinite-alleles population:
 Everything analytic is cross-checked two ways: a Monte Carlo block death
 process (``run_replicates``) and an exact rational urn enumeration
 (``oracle_pmf_exact``) that small cases must match to the last digit.
-The ``coalineage`` console script exposes the common workflows.
+The oracle pulls in ``fractions`` and ``decimal``, so its module loads on
+first use of one of its names.  The ``coalineage`` console script exposes
+the common workflows.
 """
 
 from .ancestral import (
@@ -41,7 +43,6 @@ from .ewens import (
     hoppe_sample,
     theta_mle,
 )
-from .enumeration import enumerate_sequences, oracle_pmf, oracle_pmf_exact
 from .pmf import Pmf
 from .posterior import (
     PredictiveQuery,
@@ -98,3 +99,13 @@ __all__ = [
     "default_threads",
     "run_replicates",
 ]
+
+
+def __getattr__(name):
+    # only the oracle loads on first use: tracers look every other module's
+    # functions up in sys.modules right after `import coalineage`
+    if name in ("enumerate_sequences", "oracle_pmf", "oracle_pmf_exact"):
+        from . import enumeration
+
+        return getattr(enumeration, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

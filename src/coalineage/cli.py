@@ -10,14 +10,16 @@ reports the discovery probabilities for one extra draw.
 Reports go to stdout as JSON (one object) or as long-format csv/tsv
 rows ``section,key,value`` ready for plotting tools; diagnostics go to
 stderr.  Exit codes: 0 success, 2 usage error, 3 numerical-conditioning
-failure, 4 malformed data file.
+failure, 4 malformed data file.  As a process (the console script, or
+``python -m coalineage.cli``) it flushes the report and exits without
+interpreter teardown: process_main.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import json
+import os
 import sys
 from collections import Counter
 
@@ -36,7 +38,7 @@ from .posterior import (
 )
 from .simulate import run_replicates
 
-__all__ = ["build_parser", "main", "narrowest_interval95"]
+__all__ = ["build_parser", "main", "narrowest_interval95", "process_main"]
 
 
 def narrowest_interval95(counts: Counter) -> tuple[int, int]:
@@ -90,6 +92,8 @@ def _emit(report: dict, fmt: str, out) -> None:
         json.dump(report, out, indent=2)
         out.write("\n")
         return
+    import csv  # only the row formats need it; json reports skip its import
+
     writer = csv.writer(out, delimiter="," if fmt == "csv" else "\t", lineterminator="\n")
     writer.writerow(["section", "key", "value"])
     for section, key, value in _report_rows(report):
@@ -378,5 +382,20 @@ def main(argv=None) -> int:
     return 0
 
 
+def process_main(argv=None) -> int:
+    """main() as a whole process: flush the report, then exit without the
+    interpreter teardown that, with numpy loaded, outlasts most commands.
+    Argparse's SystemExit and a failed flush take the normal exit path, so
+    the interpreter reports a failed write as before; in-process callers
+    use main()."""
+    code = main(argv)
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except OSError:
+        return code
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(process_main())

@@ -184,7 +184,15 @@ def blocks(sizes) -> list[slice]:
 
 def _parts_ratios(size: int, count: int, top: int) -> np.ndarray:
     """p(k, r + 1) / p(k, r), k = 0..count, r = 0..top-1 (0 where p(k, r + 1) is), with
-    p(k, r) the ways to write r as k ordered parts in 0..size-1, from exact integers."""
+    p(k, r) the ways to write r as k ordered parts in 0..size-1, from exact integers.
+    At size 2, p(k, r) = C(k, r), so the ratio is max(k - r, 0)/(r + 1): one division
+    of small exact integers, rounded as the integer form rounds."""
+    if size == 2:
+        r = np.arange(top, dtype=float)
+        ratios = np.subtract(np.arange(count + 1.0)[:, None], r)  # in place from here on
+        np.maximum(ratios, 0.0, out=ratios)
+        ratios /= r + 1.0
+        return ratios
     row, ratios = [1] + [0] * top, np.zeros((count + 1, top))
     for k in range(count + 1 if top else 0):
         ratios[k] = [b / a if b else 0.0 for a, b in zip(row, row[1:])]

@@ -350,6 +350,17 @@ def parts_counts(size: int, count: int, top: int) -> list[list[int]]:
     return rows
 
 
+def parts_ratios_from_counts(size: int, count: int, top: int) -> np.ndarray:
+    """numerics._parts_ratios in its integer form: p(k, r + 1) / p(k, r) from the
+    exact counts of parts_counts, each a correctly rounded int / int (0 where
+    p(k, r + 1) is 0)."""
+    ratios = [
+        [b / a if b else 0.0 for a, b in zip(row, row[1:])]
+        for row in parts_counts(size, count, top)
+    ]
+    return np.array(ratios, dtype=float).reshape(count + 1, top)
+
+
 def freq_law_definition(l: int, n: int, m: int, theta: Fraction) -> list[Fraction]:
     """P[exactly y of n seed types are drawn l times in m draws], y = 0..min(n, m // l),
     by inclusion-exclusion over the binomial moments S_i = C(n,i) m!

@@ -1,7 +1,8 @@
 """End-to-end tests of the command-line surface.
 
 Commands run in-process through main() so the suite exercises argument
-parsing, exit codes, and the emitted bytes without subprocess overhead.
+parsing, exit codes, and the emitted bytes without subprocess overhead;
+TestProcess runs the process entry, `python -m coalineage.cli`, against it.
 """
 
 import argparse
@@ -11,10 +12,12 @@ import os
 import subprocess
 import sys
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
 
+import coalineage
 from coalineage import posterior
 from coalineage.ancestral import ModelParams, lineage_pmf, singleton_lineage_pmf, tmrca_cdf
 from coalineage.cli import build_parser, main, narrowest_interval95
@@ -510,15 +513,21 @@ class TestDiscover:
         assert points >= 100
 
 
-def _loaded_after_cli_import(modules: tuple[str, ...]) -> list[str]:
-    """Which of modules a fresh interpreter holds after importing coalineage.cli."""
-    src = Path(__file__).resolve().parents[1] / "src"
-    probe = f"import sys, coalineage.cli; print(*[m for m in {modules!r} if m in sys.modules])"
-    proc = subprocess.run(
-        [sys.executable, "-c", probe],
-        capture_output=True, text=True, timeout=120,
-        env=dict(os.environ, PYTHONPATH=str(src)),
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def _python(*args, cwd=None) -> subprocess.CompletedProcess:
+    """A fresh interpreter that imports the package from this checkout."""
+    return subprocess.run(
+        [sys.executable, *args],
+        capture_output=True, text=True, timeout=120, cwd=cwd,
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
     )
+
+
+def _loaded_after_import(module: str, modules: tuple[str, ...]) -> list[str]:
+    """Which of modules a fresh interpreter holds after importing module."""
+    proc = _python("-c", f"import sys, {module}; print(*[m for m in {modules!r} if m in sys.modules])")
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.split()
 
@@ -537,9 +546,120 @@ def test_oracle_is_not_a_command(capsys):
 
 
 def test_cli_import_leaves_scipy_out():
-    assert _loaded_after_cli_import(("scipy",)) == []
+    assert _loaded_after_import("coalineage.cli", ("scipy",)) == []
 
 
 def test_cli_import_leaves_process_pool_out():
     # the simulator runs every replicate in this process and imports no pool
-    assert _loaded_after_cli_import(("multiprocessing", "concurrent.futures.process")) == []
+    assert _loaded_after_import("coalineage.cli", ("multiprocessing", "concurrent.futures.process")) == []
+
+
+def test_cli_import_leaves_oracle_and_row_writer_out():
+    # the exact urn oracle loads on first use, and csv with a csv or tsv report
+    modules = ("coalineage.enumeration", "fractions", "decimal", "csv")
+    assert _loaded_after_import("coalineage.cli", modules) == []
+
+
+# the modules whose functions perfbench/tracing.py wraps, found in sys.modules
+# right after `import coalineage`: none of them may load lazily
+TRACED_MODULES = tuple(
+    f"coalineage.{name}"
+    for name in ("ancestral", "posterior", "numerics", "datasets", "ewens", "simulate", "pmf", "errors")
+)
+
+
+def test_package_import_loads_every_traced_module():
+    assert _loaded_after_import("coalineage", TRACED_MODULES) == list(TRACED_MODULES)
+
+
+def test_every_public_name_resolves_lazily_loaded_or_not():
+    probe = (
+        "import json, sys, coalineage\n"
+        "lazy = 'coalineage.enumeration' not in sys.modules\n"
+        "names = {}\n"
+        "exec('from coalineage import *', names)\n"
+        "print(json.dumps([lazy, sorted(n for n in coalineage.__all__\n"
+        "    if n not in names or names[n] is not getattr(coalineage, n))]))"
+    )
+    proc = _python("-c", probe)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [True, []]
+    assert coalineage.oracle_pmf_exact is coalineage.enumeration.oracle_pmf_exact
+    with pytest.raises(AttributeError, match="no_such_name"):
+        coalineage.no_such_name
+
+
+# README commands; simulate runs fewer replicates than the README's 10000
+README_COMMANDS = [
+    ["fit-theta", "singh1976"],
+    ["lineages", "--m", "6", "--theta", "1.0", "--t", "0.5"],
+    ["lineages", "--m", "146", "--theta", "9.5", "--t", "0.34", "--r", "5"],
+    ["predict", "--m", "146", "--m-prime", "50", "--y", "2", "--theta", "9.48", "--t", "0.34"],
+    ["predict", "--m", "7", "--m-prime", "3", "--y", "2", "--theta", "1.5", "--t", "0.6",
+     "--mode", "singleton", "--method", "closed"],
+    ["simulate", "singh1976", "--theta", "9.5", "--t", "0.34", "--replicates", "200", "--seed", "0"],
+    ["discover", "--m", "146", "--y", "2", "--theta", "9.5", "--t", "0.34", "--mode", "total"],
+    ["discover", "--m", "146", "--y", "2", "--theta", "9.5", "--t", "0.34", "--mode", "singleton"],
+]
+PROCESS_COMMANDS = README_COMMANDS + [
+    README_COMMANDS[1] + ["--format", "csv"],
+    README_COMMANDS[4] + ["--format", "tsv"],
+]
+FAILING_COMMANDS = {
+    "usage": (["lineages", "--m", "5", "--theta", "1"], 2),
+    "refused": (["lineages", "--m", "200", "--theta", "1", "--t", "0.005"], 3),
+    "malformed": (["fit-theta", "bad.json"], 4),
+}
+
+
+@pytest.fixture(scope="module")
+def processes(tmp_path_factory):
+    """(cwd, argv -> completed process) for every command TestProcess runs, each
+    as `python -m coalineage.cli` in cwd, two at a time to halve the wait."""
+    cwd = tmp_path_factory.mktemp("cli")
+    (cwd / "bad.json").write_text("not json at all")
+    argvs = PROCESS_COMMANDS + [argv for argv, _ in FAILING_COMMANDS.values()]
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        runs = list(pool.map(lambda argv: _python("-m", "coalineage.cli", *argv, cwd=cwd), argvs))
+    return cwd, dict(zip(map(tuple, argvs), runs))
+
+
+class TestProcess:
+    """`python -m coalineage.cli` as its own process, which exits without
+    interpreter teardown: the same bytes and exit codes as main() in-process."""
+
+    @pytest.mark.parametrize("argv", PROCESS_COMMANDS, ids=" ".join)
+    def test_report_matches_in_process_main(self, capsys, processes, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0, err
+        proc = processes[1][tuple(argv)]
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, out, "")
+
+    @pytest.mark.parametrize("case", FAILING_COMMANDS)
+    def test_failure_exit_code_and_message(self, capsys, monkeypatch, processes, case):
+        (argv, code), (cwd, runs) = FAILING_COMMANDS[case], processes
+        monkeypatch.chdir(cwd)
+        try:
+            got = main(argv)
+        except SystemExit as exc:
+            got = exc.code
+        captured = capsys.readouterr()
+        assert got == code and captured.err
+        proc = runs[tuple(argv)]
+        assert (proc.returncode, proc.stdout, proc.stderr) == (code, captured.out, captured.err)
+
+    def test_failed_flush_is_reported_as_without_the_fast_exit(self):
+        # the report sits in stdout's buffer when the flush fails: the normal
+        # exit path flushes again at teardown, reports the error and exits 120
+        probe = (
+            "import io, sys\n"
+            "class Full(io.RawIOBase):\n"
+            "    def writable(self): return True\n"
+            "    def write(self, b): raise OSError(28, 'No space left on device')\n"
+            "sys.stdout = io.TextIOWrapper(io.BufferedWriter(Full()), encoding='utf-8')\n"
+            "from coalineage.cli import process_main\n"
+            "sys.exit(process_main(['fit-theta', 'singh1976']))"
+        )
+        proc = _python("-c", probe)
+        assert proc.returncode == 120
+        assert "OSError: [Errno 28] No space left on device" in proc.stderr

@@ -34,6 +34,7 @@ from coalineage.posterior import PredictiveQuery, predictive_singleton_pmf
 from reference import (
     log_falling_factorial,
     moment_count_sums_two_pass,
+    parts_ratios_from_counts,
     signed_log_sum,
     signless_stirling1,
     stirling2,
@@ -404,6 +405,38 @@ class TestBlocks:
         monkeypatch.setattr(numerics, "BLOCK_TERMS", block_terms)
         assert block_law_results() == want
         assert all(result[0] == "returned" for result in want.values())
+
+
+class TestPartsRatios:
+    """numerics._parts_ratios, whose size-2 table (l = 1 hit parts, l = 2 urn
+    parts) is the binomial closed form, not a walk over exact integers."""
+
+    def test_size_two_matches_the_integer_form_bit_for_bit(self):
+        want = parts_ratios_from_counts(2, 300, 300)
+        got = numerics._parts_ratios(2, 300, 300)
+        assert got.dtype == float and got.tobytes() == want.tobytes()
+        for count, top in ((0, 0), (0, 5), (7, 0), (7, 3), (3, 7), (299, 300)):
+            assert numerics._parts_ratios(2, count, top).tobytes() == want[: count + 1, :top].tobytes()
+
+    def test_other_sizes_match_the_integer_form(self):
+        for size, count, top in ((1, 4, 0), (3, 12, 24), (4, 9, 27)):
+            got = numerics._parts_ratios(size, count, top)
+            assert got.tobytes() == parts_ratios_from_counts(size, count, top).tobytes()
+
+    def test_stacked_l1_hit_rows_keep_their_bits(self, monkeypatch):
+        # the l = 1 hit tables read the size-2 table; rows stacked over several
+        # urn totals, and a row wide enough to be cut along x, are the same bits
+        # as from the integer form
+        cases = [
+            (9.5 + 146 + np.arange(1.0, 6.0), 50, 10),
+            (0.5 + 25 + np.arange(5.0), 4, 3),
+            (20.0 + 300 + np.arange(3.0), 200, 150),
+        ]
+        with monkeypatch.context() as patch:
+            patch.setattr(posterior, "_parts_ratios", parts_ratios_from_counts)
+            want = [posterior._hit_terms(1, *case) for case in cases]
+        for case, table in zip(cases, want):
+            assert posterior._hit_terms(1, *case).tobytes() == table.tobytes()
 
 
 def gate(sums, log_peaks):
